@@ -10,13 +10,14 @@ the joint optimum; upper_bounds reports two capacity relaxations next to it.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .maxflow import ACTIVE, DISCARDED, ColoredPath, Cut
+from .maxflow import ACTIVE, ColoredPath, Cut
 from .netmodel import Network
-from .tables import FlowTables, apply_shipment
+from .tables import FlowTables, ship_position
 
 __all__ = [
     "Assignment",
@@ -49,38 +50,41 @@ def greedy_solve(tables: FlowTables) -> Assignment:
 
     Requires freshly built tables (every path active).  Feasible by
     construction: each shipment moves exactly the path's current residual
-    bottleneck.
+    bottleneck.  The next path comes off a heap keyed by (color count,
+    commodity, ordinal, position); color counts only ever fall, so a path
+    whose count changes is pushed again and popped entries that are
+    inactive or carry a stale count are skipped.
     """
     if any(path.status != ACTIVE for path in tables.paths):
         raise ValueError("greedy_solve requires freshly built tables")
+    paths = tables.paths
+    counts = tables.path_color_count
     shipments: list[tuple[ColoredPath, int]] = []
     discarded: list[ColoredPath] = []
-    recorded: set[tuple[int, int]] = set()
     edge_flow: dict[tuple[int, int], int] = {}
     per_commodity = {com.index: 0 for com in tables.network.commodities}
-    while True:
-        active = tables.active_paths()
-        if not active:
-            break
-        choice = min(
-            active,
-            key=lambda p: (
-                tables.path_color_count[tables.index_of(p)],
-                p.commodity,
-                p.ordinal,
-            ),
-        )
-        amount = tables.path_bottleneck[tables.index_of(choice)]
-        apply_shipment(tables, choice, amount)
+    heap = [
+        (counts[position], path.commodity, path.ordinal, position)
+        for position, path in enumerate(paths)
+    ]
+    heapq.heapify(heap)
+    while heap:
+        count, _, _, position = heapq.heappop(heap)
+        choice = paths[position]
+        if choice.status != ACTIVE or count != counts[position]:
+            continue
+        amount = tables.path_bottleneck[position]
+        dropped, recounted = ship_position(tables, position, amount)
         shipments.append((choice, amount))
         per_commodity[choice.commodity] += amount
         for eid in choice.edges:
             key = (choice.commodity, eid)
             edge_flow[key] = edge_flow.get(key, 0) + amount
-        for path in tables.paths:
-            if path.status == DISCARDED and path.key not in recorded:
-                recorded.add(path.key)
-                discarded.append(path)
+        discarded.extend(paths[p] for p in dropped)
+        for p in recounted:
+            path = paths[p]
+            if path.status == ACTIVE:
+                heapq.heappush(heap, (counts[p], path.commodity, path.ordinal, p))
     total = sum(amount for _, amount in shipments)
     return Assignment(shipments, discarded, edge_flow, per_commodity, total)
 
@@ -97,7 +101,13 @@ class BoundReport:
 def inclusion_exclusion_bound(cuts: Sequence[Cut]) -> BoundReport:
     """Alternating-sign sum of shared cut capacity over every nonempty
     commodity subset: singletons add, pairs subtract, triples add, and so
-    on, intersecting the cut edge sets."""
+    on, intersecting the cut edge sets.
+
+    The sum equals the capacity of the union of the cut edges, which
+    upper_bounds computes directly in O(E).  This function exists to lay
+    the terms out (`mcflow bound`): it lists all 2^K - 1 of them for K
+    cuts and costs that much time and memory.
+    """
     edge_sets = [frozenset(e.id for e in cut.cut_edges) for cut in cuts]
     capacity: dict[int, int] = {}
     for cut in cuts:
@@ -123,7 +133,9 @@ def validate_assignment(net: Network, assignment: Assignment) -> list[str]:
     """Check capacity sharing, per-commodity conservation, and totals.
 
     Returns one message per violation; raises ValueError if the assignment
-    references an edge or commodity the network does not have.
+    references an edge or commodity the network does not have.  One pass
+    over edge_flow fills per-edge and per-(commodity, node) accumulators,
+    so the check costs O(K*V + E + flow entries).
     """
     known = {com.index for com in net.commodities}
     for commodity_index, eid in assignment.edge_flow:
@@ -132,49 +144,39 @@ def validate_assignment(net: Network, assignment: Assignment) -> list[str]:
         if not 0 <= eid < len(net.edges):
             raise ValueError(f"assignment references unknown edge {eid}")
     violations: list[str] = []
+    used = [0] * len(net.edges)
+    inflow: dict[tuple[int, str], int] = {}
+    outflow: dict[tuple[int, str], int] = {}
     for (commodity_index, eid), units in assignment.edge_flow.items():
         if units < 0:
             violations.append(
                 f"commodity {commodity_index}, edge {eid}: negative flow {units}"
             )
+        edge = net.edges[eid]
+        used[eid] += units
+        head = (commodity_index, edge.head)
+        tail = (commodity_index, edge.tail)
+        inflow[head] = inflow.get(head, 0) + units
+        outflow[tail] = outflow.get(tail, 0) + units
     for edge in net.edges:
-        used = sum(
-            assignment.edge_flow.get((com.index, edge.id), 0)
-            for com in net.commodities
-        )
-        if used > edge.capacity:
+        if used[edge.id] > edge.capacity:
             violations.append(
                 f"edge {edge.id} ({edge.tail}->{edge.head}):"
-                f" total flow {used} exceeds capacity {edge.capacity}"
+                f" total flow {used[edge.id]} exceeds capacity {edge.capacity}"
             )
     for com in net.commodities:
         for node in net.nodes:
             if node in (com.source, com.sink):
                 continue
-            inflow = sum(
-                assignment.edge_flow.get((com.index, e.id), 0)
-                for e in net.edges
-                if e.head == node
-            )
-            outflow = sum(
-                assignment.edge_flow.get((com.index, e.id), 0)
-                for e in net.edges
-                if e.tail == node
-            )
-            if inflow != outflow:
+            node_in = inflow.get((com.index, node), 0)
+            node_out = outflow.get((com.index, node), 0)
+            if node_in != node_out:
                 violations.append(
                     f"commodity {com.index}, node {node}:"
-                    f" inflow {inflow} != outflow {outflow}"
+                    f" inflow {node_in} != outflow {node_out}"
                 )
-        net_out = sum(
-            assignment.edge_flow.get((com.index, e.id), 0)
-            for e in net.edges
-            if e.tail == com.source
-        ) - sum(
-            assignment.edge_flow.get((com.index, e.id), 0)
-            for e in net.edges
-            if e.head == com.source
-        )
+        source = (com.index, com.source)
+        net_out = outflow.get(source, 0) - inflow.get(source, 0)
         declared = assignment.per_commodity_value.get(com.index, 0)
         if net_out != declared:
             violations.append(
@@ -203,6 +205,18 @@ class UpperBounds:
 
 
 def upper_bounds(net: Network, tables: FlowTables) -> UpperBounds:
+    """Sum of the individual max flows, and the cut inclusion-exclusion
+    bound.
+
+    The alternating sum over commodity subsets that
+    inclusion_exclusion_bound lays out collapses to the capacity of the
+    union of the min-cut edges, so that is computed directly: O(E) rather
+    than 2^K - 1 subset intersections.
+    """
     total = sum(tables.commodity_value[com.index] for com in net.commodities)
-    ordered = [tables.cuts[com.index] for com in net.commodities]
-    return UpperBounds(total, inclusion_exclusion_bound(ordered).bound)
+    union = {
+        edge.id: edge.capacity
+        for com in net.commodities
+        for edge in tables.cuts[com.index].cut_edges
+    }
+    return UpperBounds(total, sum(union.values()))

@@ -224,17 +224,23 @@ def gap_report(
     """Run tables + greedy + bounds + oracle on one network.
 
     `gap` is optimum minus heuristic value; it is only meaningful when
-    `truncated` is False (a truncated optimum is merely a lower bound).
+    `truncated` is False.  A truncated search (or an overflowing path
+    catalog, where the oracle reports 0) only yields a lower bound, and the
+    feasible greedy total is one too, so the larger of the two is reported
+    and the gap is never negative.
     """
     tables = build_tables(net)
     bounds = upper_bounds(net, tables)
     assignment = greedy_solve(tables)
     result = optimal_value(net, max_paths=max_paths, max_candidates=max_candidates)
+    optimum = result.optimum
+    if result.truncated:
+        optimum = max(optimum, assignment.total_value)
     return GapReport(
         assignment.total_value,
-        result.optimum,
+        optimum,
         bounds.individual_total,
         bounds.inclusion_exclusion,
-        result.optimum - assignment.total_value,
+        optimum - assignment.total_value,
         result.truncated,
     )

@@ -9,10 +9,17 @@ decomposes each into colored paths, and records:
     path_bottleneck   per path: minimum residual along its edges (live)
     path_color_count  per path: distinct colors over its edges
 
+Two indexes ride along: path_position maps a path's (commodity, ordinal)
+key to its position, and edge_paths lists, per edge, the positions of every
+path using it (whatever its status), in ascending order.
+
 Shipping a path (apply_shipment) subtracts its current bottleneck from
-every edge it uses, marks it used, discards any still-active path that
-lost all slack on some edge, strips discarded paths' colors from
-edge_colors, and refreshes the two derived columns.  path_record is
+every edge it uses and marks it used.  Only residuals on those edges
+change, so only paths sharing them are examined: active ones left with a
+zero-residual edge are discarded and their colors stripped from
+edge_colors, bottlenecks are recomputed for the paths sharing the shipped
+edges, and color counts for the paths sharing an edge with a newly
+discarded path.  Every other entry is already current.  path_record is
 written once and never rewritten.
 """
 
@@ -39,6 +46,7 @@ __all__ = [
     "audit_tables",
     "build_tables",
     "color_count",
+    "ship_position",
 ]
 
 COLOR_NAMES = (
@@ -81,25 +89,26 @@ class FlowTables:
     cuts: dict[int, Cut]
     commodity_value: dict[int, int]
     colors: dict[int, Color]
+    path_position: dict[tuple[int, int], int]
+    edge_paths: list[list[int]]
 
     def index_of(self, path: ColoredPath) -> int:
-        for position, candidate in enumerate(self.paths):
-            if candidate.key == path.key:
-                return position
-        raise ValueError(f"path {path.label} not in tables")
+        position = self.path_position.get(path.key)
+        if position is None:
+            raise ValueError(f"path {path.label} not in tables")
+        return position
 
     def active_paths(self) -> list[ColoredPath]:
         return [p for p in self.paths if p.status == ACTIVE]
 
 
-def _refresh(tables: FlowTables) -> None:
-    tables.path_bottleneck = [
-        min(tables.edge_residual[eid] for eid in path.edges) for path in tables.paths
-    ]
-    tables.path_color_count = [
-        len(set().union(*(tables.edge_colors[eid] for eid in path.edges)))
-        for path in tables.paths
-    ]
+def _bottleneck(tables: FlowTables, position: int) -> int:
+    return min(tables.edge_residual[eid] for eid in tables.paths[position].edges)
+
+
+def _color_count(tables: FlowTables, position: int) -> int:
+    edges = tables.paths[position].edges
+    return len(set().union(*(tables.edge_colors[eid] for eid in edges)))
 
 
 def build_tables(net: Network) -> FlowTables:
@@ -126,9 +135,11 @@ def build_tables(net: Network) -> FlowTables:
         path.color = color
         colors[color.id] = color
     edge_colors: list[set[int]] = [set() for _ in net.edges]
-    for path in paths:
-        for eid in path.edges:
+    edge_paths: list[list[int]] = [[] for _ in net.edges]
+    for position, path in enumerate(paths):
+        for eid in dict.fromkeys(path.edges):
             edge_colors[eid].add(path.color.id)
+            edge_paths[eid].append(position)
     tables = FlowTables(
         network=net,
         paths=paths,
@@ -143,8 +154,11 @@ def build_tables(net: Network) -> FlowTables:
         cuts=cuts,
         commodity_value=commodity_value,
         colors=colors,
+        path_position={path.key: position for position, path in enumerate(paths)},
+        edge_paths=edge_paths,
     )
-    _refresh(tables)
+    tables.path_bottleneck = [_bottleneck(tables, p) for p in range(len(paths))]
+    tables.path_color_count = [_color_count(tables, p) for p in range(len(paths))]
     return tables
 
 
@@ -156,15 +170,19 @@ def color_count(tables: FlowTables, path: ColoredPath) -> int:
     return tables.path_color_count[position]
 
 
-def apply_shipment(tables: FlowTables, path: ColoredPath, amount: int) -> FlowTables:
-    """Ship `amount` (the path's current bottleneck) and update the tables.
+def _paths_on(tables: FlowTables, edges) -> list[int]:
+    """Positions of every path using one of `edges`, ascending."""
+    return sorted({p for eid in edges for p in tables.edge_paths[eid]})
 
-    The shipped path is marked used and keeps its colors.  Any active path
-    left with a zero-residual edge is discarded and its color removed from
-    edge_colors everywhere; bottleneck and color-count columns are then
-    recomputed.
+
+def ship_position(
+    tables: FlowTables, position: int, amount: int
+) -> tuple[list[int], list[int]]:
+    """apply_shipment for the path at `position`, with the same checks.
+
+    Returns the positions of the paths it discarded and of the paths whose
+    color count fell, both ascending.
     """
-    position = tables.index_of(path)
     target = tables.paths[position]
     if target.status != ACTIVE:
         raise ValueError(f"path {target.label} is not active")
@@ -173,18 +191,48 @@ def apply_shipment(tables: FlowTables, path: ColoredPath, amount: int) -> FlowTa
         raise ValueError(
             f"shipment of {amount} on {target.label} differs from its bottleneck {bottleneck}"
         )
+    residual = tables.edge_residual
     for eid in target.edges:
-        tables.edge_residual[eid] -= amount
+        residual[eid] -= amount
     target.status = USED
-    for candidate in tables.paths:
+    # Active paths have no zero-residual edge before this shipment, and
+    # only the shipped edges changed, so only paths sharing them can drop.
+    sharing = _paths_on(tables, target.edges)
+    discarded: list[int] = []
+    for candidate_position in sharing:
+        candidate = tables.paths[candidate_position]
         if candidate.status != ACTIVE:
             continue
-        if any(tables.edge_residual[eid] == 0 for eid in candidate.edges):
+        if any(residual[eid] == 0 for eid in candidate.edges):
             candidate.status = DISCARDED
+            discarded.append(candidate_position)
             assert candidate.color is not None
             for eid in candidate.edges:
                 tables.edge_colors[eid].discard(candidate.color.id)
-    _refresh(tables)
+    for p in sharing:
+        tables.path_bottleneck[p] = _bottleneck(tables, p)
+    recounted: list[int] = []
+    for p in _paths_on(tables, (eid for d in discarded for eid in tables.paths[d].edges)):
+        count = _color_count(tables, p)
+        if count != tables.path_color_count[p]:
+            tables.path_color_count[p] = count
+            recounted.append(p)
+    return discarded, recounted
+
+
+def apply_shipment(tables: FlowTables, path: ColoredPath, amount: int) -> FlowTables:
+    """Ship `amount` (the path's current bottleneck) and update the tables.
+
+    The path must be active and `amount` must equal its live bottleneck,
+    else ValueError.  The shipped path is marked used and keeps its colors.
+    Any active path sharing one of its edges that is left with a
+    zero-residual edge is discarded and its color removed from edge_colors
+    everywhere.  Bottlenecks are recomputed for every path sharing a
+    shipped edge and color counts for every path sharing an edge with a
+    discarded one; all other entries are unaffected, so the tables audit
+    clean afterwards.
+    """
+    ship_position(tables, tables.index_of(path), amount)
     return tables
 
 

@@ -8,7 +8,8 @@ Criteria:
   3. decompositions sum to the flow value and cross the min cut once
   4. greedy assignments are always feasible
   5. greedy never beats the exact optimum, which the bounds dominate;
-     the gap-zero fraction is recorded and counterexamples archived
+     the gap-zero fraction is recorded, counterexamples are archived in a
+     temporary directory, and the checked-in ones are found again
   6. the cut-intersection bound matches direct subset-sum evaluation
   7. every subcommand is byte-for-byte reproducible on every fixture
 """
@@ -118,13 +119,10 @@ def test_criterion_4_greedy_feasibility():
     _report(4, "greedy feasibility", " (500 instances)")
 
 
-def test_criterion_5_optimality_gap():
+def test_criterion_5_optimality_gap(tmp_path):
     golden = parse_network((DATA / "two_commodity.net").read_text(encoding="utf-8"))
     assert gap_report(golden).gap == 0
 
-    COUNTEREXAMPLES.mkdir(exist_ok=True)
-    for stale in COUNTEREXAMPLES.glob("gap_*.net"):
-        stale.unlink()
     usable = 0
     zero_gap = 0
     truncated = 0
@@ -140,16 +138,22 @@ def test_criterion_5_optimality_gap():
         if report.gap == 0:
             zero_gap += 1
         else:
-            target = COUNTEREXAMPLES / f"gap_{position:03d}.net"
+            target = tmp_path / f"gap_{position:03d}.net"
             target.write_text(render_network(net), encoding="utf-8")
             archived.append(target.name)
     assert usable > 0
+    # The checked-in counterexamples are read-only fixtures: each must be
+    # found again, byte for byte.
+    for known in sorted(COUNTEREXAMPLES.glob("gap_*.net")):
+        assert known.name in archived
+        assert (tmp_path / known.name).read_bytes() == known.read_bytes()
     fraction = zero_gap / usable
     _report(
         5,
         "optimality gap",
         f" (gap 0 on {zero_gap}/{usable} solvable instances, fraction {fraction:.3f},"
-        f" {truncated} truncated, counterexamples archived: {archived or 'none'})",
+        f" {truncated} truncated, counterexamples archived in {tmp_path}:"
+        f" {archived or 'none'})",
     )
 
 

@@ -1,6 +1,7 @@
 """Command-line surface: output formats, exit codes, and reproducibility."""
 
 import io
+import random
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,16 @@ from pathlib import Path
 import pytest
 
 import mcflow.cli
-from mcflow import Commodity, Edge, Network
+from helpers import random_network
+from mcflow import (
+    Commodity,
+    Edge,
+    Network,
+    build_tables,
+    greedy_solve,
+    render_network,
+    validate_assignment,
+)
 from mcflow.cli import run
 
 DATA = Path(__file__).parent / "data"
@@ -213,6 +223,28 @@ class TestSolve:
         assert "total\t10" in out.splitlines()
 
 
+    def test_thirty_commodities(self, capsys, tmp_path):
+        # 2^30 - 1 subset terms would never finish; the union bound is O(E).
+        rng = random.Random(3)  # 17 nodes, 152 edges, 399 colored paths
+        net = random_network(
+            rng, max_nodes=40, max_edges=160, max_cap=9, commodity_range=(30, 30)
+        )
+        assert len(net.commodities) == 30
+        target = tmp_path / "k30.net"
+        target.write_text(render_network(net), encoding="utf-8")
+        code, out, _ = invoke(capsys, ["solve", str(target), "--format", "structured"])
+        assert code == 0
+        records = [line.split("\t") for line in out.splitlines()]
+        value = {r[0]: int(r[1]) for r in records if len(r) == 2}
+        assert sum(1 for r in records if r[0] == "commodity_value") == 30
+        tables = build_tables(net)
+        union = {e.id: e.capacity for cut in tables.cuts.values() for e in cut.cut_edges}
+        assert value["bound_inclusion_exclusion"] == sum(union.values())
+        assert value["total"] <= value["bound_inclusion_exclusion"]
+        assert value["bound_inclusion_exclusion"] <= value["bound_individual"]
+        assert validate_assignment(net, greedy_solve(tables)) == []
+
+
 class TestBound:
     def test_structured_golden(self, capsys):
         code, out, _ = invoke(capsys, ["bound", GOLDEN, "--format", "structured"])
@@ -298,6 +330,16 @@ class TestGap:
     def test_truncation_exits_3(self, capsys):
         code, _, _ = invoke(capsys, ["gap", GOLDEN, "--max-candidates", "1"])
         assert code == 3
+
+    def test_path_limit_never_reports_negative_gap(self, capsys):
+        code, out, _ = invoke(
+            capsys, ["gap", GOLDEN, "--max-paths", "2", "--format", "structured"]
+        )
+        assert code == 3
+        records = dict(line.split("\t") for line in out.splitlines())
+        assert records["truncated"] == "true"
+        assert int(records["gap"]) >= 0
+        assert int(records["optimum"]) >= int(records["heuristic"])
 
 
 class TestExport:

@@ -8,9 +8,13 @@ from hypothesis import strategies as st
 
 from helpers import direct_inclusion_exclusion, networks, random_network
 from mcflow import (
+    ACTIVE,
+    DISCARDED,
     Assignment,
     Cut,
     Edge,
+    apply_shipment,
+    audit_tables,
     build_tables,
     greedy_solve,
     inclusion_exclusion_bound,
@@ -18,6 +22,34 @@ from mcflow import (
     upper_bounds,
     validate_assignment,
 )
+
+
+def full_scan_greedy(tables, after_step=None):
+    """Reference selection rule: the minimum over every active path by
+    (color count, commodity, ordinal), shipped through apply_shipment, with
+    the discards of each step collected by a scan of all paths."""
+    shipments, discarded, edge_flow = [], [], {}
+    recorded = set()
+    while True:
+        active = [p for p in tables.paths if p.status == ACTIVE]
+        if not active:
+            break
+        choice = min(
+            active,
+            key=lambda p: (tables.path_color_count[tables.index_of(p)], p.commodity, p.ordinal),
+        )
+        amount = tables.path_bottleneck[tables.index_of(choice)]
+        apply_shipment(tables, choice, amount)
+        shipments.append((choice.key, amount))
+        for eid in choice.edges:
+            edge_flow[(choice.commodity, eid)] = edge_flow.get((choice.commodity, eid), 0) + amount
+        for path in tables.paths:
+            if path.status == DISCARDED and path.key not in recorded:
+                recorded.add(path.key)
+                discarded.append(path.key)
+        if after_step is not None:
+            after_step(tables)
+    return shipments, discarded, edge_flow
 
 
 class TestGreedySolve:
@@ -96,6 +128,45 @@ class TestGreedySolve:
     def test_greedy_output_always_validates(self, net):
         a = greedy_solve(build_tables(net))
         assert validate_assignment(net, a) == []
+
+
+class TestGreedyMatchesFullScan:
+    def test_seeded_corpus_up_to_twelve_commodities(self):
+        rng = random.Random(3131)
+        steps = 0
+        sizes = set()
+
+        def audit(tables):
+            nonlocal steps
+            steps += 1
+            assert audit_tables(tables) == []
+
+        for _ in range(80):
+            net = random_network(
+                rng,
+                max_nodes=rng.randint(4, 14),
+                max_edges=rng.randint(6, 40),
+                max_cap=rng.randint(2, 12),
+                commodity_range=(1, 12),
+            )
+            sizes.add(len(net.commodities))
+            want = full_scan_greedy(build_tables(net), after_step=audit)
+            tables = build_tables(net)
+            got = greedy_solve(tables)
+            assert [(p.key, amount) for p, amount in got.shipments] == want[0]
+            assert [p.key for p in got.discarded] == want[1]
+            assert got.edge_flow == want[2]
+            assert audit_tables(tables) == []
+        assert steps > 300
+        assert 12 in sizes
+
+    def test_golden_matches_full_scan(self, golden_text):
+        net = parse_network(golden_text)
+        shipments, discarded, edge_flow = full_scan_greedy(build_tables(net))
+        got = greedy_solve(build_tables(net))
+        assert [(p.key, amount) for p, amount in got.shipments] == shipments
+        assert [p.key for p in got.discarded] == discarded
+        assert got.edge_flow == edge_flow
 
 
 class TestValidateAssignment:
@@ -248,3 +319,17 @@ class TestUpperBounds:
             assert total <= bounds.individual_total
             assert total <= bounds.inclusion_exclusion
             assert bounds.inclusion_exclusion <= bounds.individual_total
+
+    def test_union_capacity_matches_subset_sum_up_to_ten_commodities(self):
+        rng = random.Random(1010)
+        sizes = set()
+        for _ in range(60):
+            net = random_network(
+                rng, max_nodes=10, max_edges=30, max_cap=9, commodity_range=(1, 10)
+            )
+            t = build_tables(net)
+            ordered = [t.cuts[com.index] for com in net.commodities]
+            bound = inclusion_exclusion_bound(ordered).bound
+            assert upper_bounds(net, t).inclusion_exclusion == bound
+            sizes.add(len(net.commodities))
+        assert 10 in sizes

@@ -211,3 +211,12 @@ class TestGapReport:
 
     def test_truncation_is_reported(self, golden_net):
         assert gap_report(golden_net, max_candidates=1).truncated
+
+    def test_catalog_overflow_reports_greedy_as_lower_bound(self, golden_net):
+        # The oracle gives up with optimum 0 once a commodity has more than
+        # two simple paths; the greedy total is the better lower bound.
+        assert optimal_value(golden_net, max_paths=2).optimum == 0
+        report = gap_report(golden_net, max_paths=2)
+        assert report.truncated
+        assert report.optimum == report.heuristic_value == 25
+        assert report.gap == 0

@@ -102,6 +102,12 @@ class TestBuildTables:
         assert t.commodity_value == {1: 0}
         assert audit_tables(t) == []
 
+    def test_golden_indexes(self, golden_text):
+        t = fresh_golden(golden_text)
+        assert t.path_position == {(1, 1): 0, (1, 2): 1, (2, 1): 2, (2, 2): 3}
+        assert t.edge_paths == [[0], [1, 2], [1], [1, 3], [2], [2], [3], [3]]
+        assert [t.index_of(p) for p in t.paths] == [0, 1, 2, 3]
+
     def test_color_ids_are_dense_and_distinct(self, golden_text):
         t = fresh_golden(golden_text)
         assert sorted(t.colors) == list(range(1, 5))
@@ -193,6 +199,16 @@ class TestApplyShipment:
         apply_shipment(t, t.paths[2], 10)
         with pytest.raises(ValueError, match="not active"):
             apply_shipment(t, t.paths[1], t.path_bottleneck[1])
+
+    def test_used_path_columns_stay_current(self, golden_text):
+        # Shipping P2.2 drains edge 3 and discards P1.2: the used and the
+        # discarded path's columns are refreshed too, not only active ones.
+        t = fresh_golden(golden_text)
+        apply_shipment(t, t.paths[3], 10)
+        assert t.paths[1].status == DISCARDED
+        assert t.path_bottleneck == [5, 0, 10, 0]
+        assert t.path_color_count == [1, 2, 1, 1]
+        assert audit_tables(t) == []
 
     def test_live_bottleneck_can_exceed_decomposition_amount(self):
         # The second peeled path only got 2 units of flow, but its edges
