@@ -19,16 +19,12 @@ from .maxflow import (
     ACTIVE,
     DISCARDED,
     USED,
-    AugmentResult,
     Color,
     ColoredPath,
     Cut,
     FlowState,
-    augment,
     decompose_cut_paths,
-    find_augmenting_path,
     max_flow,
-    zero_flow,
 )
 from .netmodel import (
     Commodity,
@@ -59,7 +55,6 @@ from .tables import (
     apply_shipment,
     audit_tables,
     build_tables,
-    color_count,
 )
 
 __version__ = "0.1.0"
@@ -67,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ACTIVE",
     "Assignment",
-    "AugmentResult",
     "BoundReport",
     "COLOR_NAMES",
     "Color",
@@ -90,13 +84,10 @@ __all__ = [
     "UpperBounds",
     "apply_shipment",
     "audit_tables",
-    "augment",
     "build_tables",
-    "color_count",
     "decompose_cut_paths",
     "enumerate_paths",
     "export_dot",
-    "find_augmenting_path",
     "gap_report",
     "greedy_solve",
     "inclusion_exclusion_bound",
@@ -109,5 +100,4 @@ __all__ = [
     "upper_bounds",
     "validate_assignment",
     "validate_network",
-    "zero_flow",
 ]

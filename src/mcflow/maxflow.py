@@ -1,11 +1,14 @@
 """Single-commodity maximum flow and its decomposition.
 
-Augmenting paths are found breadth first over the residual graph with a
-fixed tie-break (forward residual edges before backward ones at the same
-depth, lower edge ids first), so repeated runs produce identical paths,
-identical flows, and an identical min cut.  The min cut returned is the
-canonical one: the set of nodes residually reachable from the source at
-termination, together with the saturated edges leaving that set.
+max_flow runs Edmonds-Karp on one mutable flow list: each augmentation is
+one breadth-first residual search (_residual_search) over the network's
+cached per-node edge lists (Network.adjacency), built once per network.
+The search has a fixed tie-break (forward residual edges before backward
+ones at the same depth, lower edge ids first), so repeated runs produce
+identical paths, identical flows, and an identical min cut.  The search
+that fails to reach the sink reaches exactly the canonical source side:
+the min cut returned is that node set together with the saturated edges
+leaving it.
 
 decompose_cut_paths peels a max flow into simple source-sink paths, lowest
 edge id first, after cancelling any flow cycles.  Every peeled path crosses
@@ -16,23 +19,20 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
 from .netmodel import Edge, Network, path_nodes
 
 __all__ = [
     "ACTIVE",
-    "AugmentResult",
     "Color",
     "ColoredPath",
     "Cut",
     "DISCARDED",
     "FlowState",
     "USED",
-    "augment",
     "decompose_cut_paths",
-    "find_augmenting_path",
     "max_flow",
-    "zero_flow",
 ]
 
 ACTIVE = "active"
@@ -84,15 +84,6 @@ class Cut:
 
 
 @dataclass(frozen=True)
-class AugmentResult:
-    """An augmenting path: nodes, per-edge direction, and its leeway."""
-
-    nodes: tuple[str, ...]
-    steps: tuple[tuple[int, bool], ...]  # (edge id, traversed forward?)
-    leeway: int
-
-
-@dataclass(frozen=True)
 class FlowState:
     """A feasible flow for one commodity; min_cut is set at termination."""
 
@@ -108,132 +99,81 @@ def _check_endpoints(net: Network, s: str, t: str) -> None:
     for v in (s, t):
         if v not in net.node_set:
             raise ValueError(f"node {v!r} not in network")
-
-
-def _adjacency(net: Network) -> tuple[dict[str, list[Edge]], dict[str, list[Edge]]]:
-    # Declaration order equals id order, so these lists are already sorted.
-    out: dict[str, list[Edge]] = {v: [] for v in net.nodes}
-    inc: dict[str, list[Edge]] = {v: [] for v in net.nodes}
-    for edge in net.edges:
-        out[edge.tail].append(edge)
-        inc[edge.head].append(edge)
-    return out, inc
-
-
-def zero_flow(net: Network, s: str, t: str, commodity: int = 0) -> FlowState:
-    _check_endpoints(net, s, t)
-    return FlowState(commodity, s, t, (0,) * len(net.edges), 0)
-
-
-def find_augmenting_path(
-    net: Network, f: FlowState, s: str, t: str
-) -> AugmentResult | None:
-    """Shortest residual s-t path, or None when the flow is maximal.
-
-    Breadth first; at equal depth forward residual edges win over backward
-    ones and lower edge ids win within each kind.
-    """
-    _check_endpoints(net, s, t)
     if s == t:
         raise ValueError("source equals sink")
-    out, inc = _adjacency(net)
-    parent: dict[str, tuple[str, int, bool]] = {}
-    seen = {s}
+
+
+Step = tuple[str, int, bool]  # (previous node, edge id, traversed forward?)
+
+
+def _residual_search(
+    net: Network, flows: Sequence[int], s: str, t: str
+) -> dict[str, Step | None]:
+    """Breadth-first search over the residual graph of `flows` from s.
+
+    Maps every node labeled before t was reached to the step that reached
+    it (s maps to None).  At equal depth forward residual edges win over
+    backward ones and lower edge ids win within each kind, so the parent
+    steps trace the canonical shortest augmenting path.  When t is not
+    reached the keys are exactly the nodes residually reachable from s.
+    """
+    out, inc = net.adjacency
+    parent: dict[str, Step | None] = {s: None}
     queue = deque([s])
-    while queue and t not in seen:
+    while queue and t not in parent:
         u = queue.popleft()
         for edge in out[u]:  # forward residual edges first
-            if edge.head not in seen and f.edge_flow[edge.id] < edge.capacity:
-                seen.add(edge.head)
+            if edge.head not in parent and flows[edge.id] < edge.capacity:
                 parent[edge.head] = (u, edge.id, True)
                 queue.append(edge.head)
         for edge in inc[u]:  # then backward residual edges
-            if edge.tail not in seen and f.edge_flow[edge.id] > 0:
-                seen.add(edge.tail)
+            if edge.tail not in parent and flows[edge.id] > 0:
                 parent[edge.tail] = (u, edge.id, False)
                 queue.append(edge.tail)
-    if t not in seen:
-        return None
-    steps: list[tuple[int, bool]] = []
-    nodes = [t]
-    v = t
-    while v != s:
-        u, eid, forward = parent[v]
-        steps.append((eid, forward))
-        nodes.append(u)
-        v = u
-    steps.reverse()
-    nodes.reverse()
-    leeway = min(
-        net.edges[eid].capacity - f.edge_flow[eid] if forward else f.edge_flow[eid]
-        for eid, forward in steps
+    return parent
+
+
+def _source_cut(net: Network, source_side: frozenset[str]) -> Cut:
+    cut_edges = tuple(
+        e for e in net.edges if e.tail in source_side and e.head not in source_side
     )
-    return AugmentResult(tuple(nodes), tuple(steps), leeway)
-
-
-def augment(net: Network, f: FlowState, a: AugmentResult) -> FlowState:
-    """Push a.leeway units along the path; returns the new flow state."""
-    if a.leeway <= 0:
-        raise ValueError("leeway must be positive")
-    flows = list(f.edge_flow)
-    for eid, forward in a.steps:
-        if forward:
-            if flows[eid] + a.leeway > net.edges[eid].capacity:
-                raise ValueError(f"leeway violates capacity of edge {eid}")
-            flows[eid] += a.leeway
-        else:
-            if flows[eid] - a.leeway < 0:
-                raise ValueError(f"leeway drives edge {eid} negative")
-            flows[eid] -= a.leeway
-    return FlowState(f.commodity, f.source, f.sink, tuple(flows), f.value + a.leeway)
-
-
-def _residual_reachable(net: Network, f: FlowState, s: str) -> frozenset[str]:
-    out, inc = _adjacency(net)
-    seen = {s}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for edge in out[u]:
-            if edge.head not in seen and f.edge_flow[edge.id] < edge.capacity:
-                seen.add(edge.head)
-                queue.append(edge.head)
-        for edge in inc[u]:
-            if edge.tail not in seen and f.edge_flow[edge.id] > 0:
-                seen.add(edge.tail)
-                queue.append(edge.tail)
-    return frozenset(seen)
+    return Cut(source_side, cut_edges, sum(e.capacity for e in cut_edges))
 
 
 def max_flow(net: Network, s: str, t: str, commodity: int = 0) -> FlowState:
     """Augment to completion; the result carries the canonical min cut."""
     _check_endpoints(net, s, t)
-    if s == t:
-        raise ValueError("source equals sink")
-    f = zero_flow(net, s, t, commodity)
-    budget = sum(e.capacity for e in net.edges if e.tail == s)
+    flows = [0] * len(net.edges)
+    value = 0
+    budget = sum(e.capacity for e in net.adjacency[0][s])
     rounds = 0
     while True:
-        found = find_augmenting_path(net, f, s, t)
-        if found is None:
+        parent = _residual_search(net, flows, s, t)
+        if t not in parent:
             break
-        f = augment(net, f, found)
+        steps: list[tuple[int, bool]] = []
+        v = t
+        while v != s:
+            v, eid, forward = parent[v]  # type: ignore[misc]
+            steps.append((eid, forward))
+        leeway = min(
+            net.edges[eid].capacity - flows[eid] if forward else flows[eid]
+            for eid, forward in steps
+        )
+        for eid, forward in steps:
+            flows[eid] += leeway if forward else -leeway
+        value += leeway
         rounds += 1
         assert rounds <= budget, "augmentation count exceeded total source capacity"
-    source_side = _residual_reachable(net, f, s)
-    cut_edges = tuple(
-        e for e in net.edges if e.tail in source_side and e.head not in source_side
-    )
-    cut = Cut(source_side, cut_edges, sum(e.capacity for e in cut_edges))
-    assert t not in source_side
-    assert f.value == cut.capacity, "flow value must equal the reachability cut capacity"
-    return FlowState(commodity, s, t, f.edge_flow, f.value, cut)
+    cut = _source_cut(net, frozenset(parent))
+    assert t not in cut.source_side
+    assert value == cut.capacity, "flow value must equal the reachability cut capacity"
+    return FlowState(commodity, s, t, tuple(flows), value, cut)
 
 
-def _find_flow_cycle(
-    net: Network, out: dict[str, list[Edge]], flows: list[int]
-) -> list[int] | None:
+def _find_flow_cycle(net: Network, flows: list[int]) -> list[int] | None:
     """Edge ids of one directed cycle in the positive-flow subgraph."""
+    out = net.adjacency[0]
     WHITE, GRAY, BLACK = 0, 1, 2
     state = dict.fromkeys(net.nodes, WHITE)
 
@@ -271,11 +211,11 @@ def _find_flow_cycle(
     return None
 
 
-def _cancel_flow_cycles(net: Network, out: dict[str, list[Edge]], flows: list[int]) -> None:
+def _cancel_flow_cycles(net: Network, flows: list[int]) -> None:
     # Backward augmentations can leave flow cycles; they carry no
     # source-sink value, so zero them before peeling paths.
     while True:
-        cycle = _find_flow_cycle(net, out, flows)
+        cycle = _find_flow_cycle(net, flows)
         if cycle is None:
             return
         delta = min(flows[eid] for eid in cycle)
@@ -290,19 +230,15 @@ def decompose_cut_paths(net: Network, f: FlowState) -> list[ColoredPath]:
     the lowest-id positive-flow edge out of each node is peeled by its
     bottleneck, repeatedly, until the source has no positive out-flow.
     """
-    if find_augmenting_path(net, f, f.source, f.sink) is not None:
+    _check_endpoints(net, f.source, f.sink)
+    reached = _residual_search(net, f.edge_flow, f.source, f.sink)
+    if f.sink in reached:
         raise ValueError("flow is not maximal; decomposition requires a max flow")
-    cut = f.min_cut
-    if cut is None:
-        source_side = _residual_reachable(net, f, f.source)
-        cut_edges = tuple(
-            e for e in net.edges if e.tail in source_side and e.head not in source_side
-        )
-        cut = Cut(source_side, cut_edges, sum(e.capacity for e in cut_edges))
+    cut = f.min_cut if f.min_cut is not None else _source_cut(net, frozenset(reached))
     cut_ids = {e.id for e in cut.cut_edges}
-    out, _ = _adjacency(net)
+    out = net.adjacency[0]
     flows = list(f.edge_flow)
-    _cancel_flow_cycles(net, out, flows)
+    _cancel_flow_cycles(net, flows)
     paths: list[ColoredPath] = []
     peeled = 0
     while any(flows[e.id] > 0 for e in out[f.source]):

@@ -3,8 +3,8 @@
 The text format is line oriented, UTF-8, one directive per line:
 
     # comment                        ignored, as are blank lines
-    node <name>
-    edge <tail> <head> <capacity>    capacity: nonnegative decimal integer
+    node <name>                      name: printable, no whitespace
+    edge <tail> <head> <capacity>    capacity: ASCII decimal digits only
     commodity <source> <sink>
 
 Every node must be declared before the first edge or commodity line that
@@ -76,6 +76,23 @@ class Network:
     def node_set(self) -> frozenset[str]:
         return frozenset(self.nodes)
 
+    @cached_property
+    def adjacency(
+        self,
+    ) -> tuple[dict[str, tuple[Edge, ...]], dict[str, tuple[Edge, ...]]]:
+        """Per node, the edges leaving it and the edges entering it, in id
+        order (declaration order is id order).  Built on first use and
+        shared by every caller, so treat both maps as read-only."""
+        out: dict[str, list[Edge]] = {v: [] for v in self.nodes}
+        inc: dict[str, list[Edge]] = {v: [] for v in self.nodes}
+        for edge in self.edges:
+            out[edge.tail].append(edge)
+            inc[edge.head].append(edge)
+        return (
+            {v: tuple(edges) for v, edges in out.items()},
+            {v: tuple(edges) for v, edges in inc.items()},
+        )
+
     def commodity(self, index: int) -> Commodity:
         for com in self.commodities:
             if com.index == index:
@@ -114,6 +131,10 @@ def parse_network(text: str) -> Network:
             )
         if directive == "node":
             name = parts[1]
+            if not name.isprintable():
+                raise NetworkParseError(
+                    lineno, f"node name {name!r} contains unprintable characters"
+                )
             if name in node_set:
                 raise NetworkParseError(lineno, f"duplicate node name {name!r}")
             nodes.append(name)
@@ -125,14 +146,20 @@ def parse_network(text: str) -> Network:
                     raise NetworkParseError(
                         lineno, f"edge endpoint {endpoint!r} not declared"
                     )
+            # int() would also take "+5", "1_0" and non-ASCII digits.
+            digits = cap_token.removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
+                raise NetworkParseError(
+                    lineno, f"capacity {cap_token!r} is not an integer"
+                )
+            if cap_token.startswith("-"):
+                raise NetworkParseError(lineno, f"negative capacity {cap_token}")
             try:
                 capacity = int(cap_token)
-            except ValueError:
+            except ValueError:  # past the interpreter's integer-digit limit
                 raise NetworkParseError(
                     lineno, f"capacity {cap_token!r} is not an integer"
                 ) from None
-            if capacity < 0:
-                raise NetworkParseError(lineno, f"negative capacity {capacity}")
             if tail == head:
                 raise NetworkParseError(lineno, f"self-loop on node {tail!r}")
             edges.append(Edge(len(edges), tail, head, capacity))

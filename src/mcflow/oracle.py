@@ -63,35 +63,38 @@ def enumerate_paths(
     net: Network, commodity: Commodity, limit: int = DEFAULT_MAX_PATHS
 ) -> list[SimplePath]:
     """All simple source-sink paths of one commodity, depth first with
-    lower edge ids explored first.  Raises OracleLimitError past `limit`."""
-    out: dict[str, list] = {v: [] for v in net.nodes}
-    for edge in net.edges:
-        out[edge.tail].append(edge)
-    found: list[SimplePath] = []
+    lower edge ids explored first.  Raises OracleLimitError past `limit`.
 
-    def walk(v: str, visited: set[str], trail: list[int]) -> None:
-        if v == commodity.sink:
+    Iterative: one edge iterator per node on the current trail, so path
+    length is not bounded by the interpreter's recursion limit."""
+    out = net.adjacency[0]
+    found: list[SimplePath] = []
+    trail: list[int] = []  # trail[i] leads into the node of frames[i + 1]
+    visited = {commodity.source}
+    frames = [iter(out[commodity.source])]
+    while frames:
+        edge = next(frames[-1], None)
+        if edge is None:
+            frames.pop()
+            if trail:
+                visited.remove(net.edges[trail.pop()].head)
+        elif edge.head == commodity.sink:
+            edges = (*trail, edge.id)
             found.append(
                 SimplePath(
                     commodity.index,
-                    tuple(trail),
-                    min(net.edges[eid].capacity for eid in trail),
+                    edges,
+                    min(net.edges[eid].capacity for eid in edges),
                 )
             )
             if len(found) > limit:
                 raise OracleLimitError(
                     f"commodity {commodity.index}: more than {limit} simple paths"
                 )
-            return
-        for edge in out[v]:
-            if edge.head not in visited:
-                visited.add(edge.head)
-                trail.append(edge.id)
-                walk(edge.head, visited, trail)
-                trail.pop()
-                visited.remove(edge.head)
-
-    walk(commodity.source, {commodity.source}, [])
+        elif edge.head not in visited:
+            visited.add(edge.head)
+            trail.append(edge.id)
+            frames.append(iter(out[edge.head]))
     return found
 
 

@@ -45,8 +45,6 @@ __all__ = [
     "apply_shipment",
     "audit_tables",
     "build_tables",
-    "color_count",
-    "ship_position",
 ]
 
 COLOR_NAMES = (
@@ -97,9 +95,6 @@ class FlowTables:
         if position is None:
             raise ValueError(f"path {path.label} not in tables")
         return position
-
-    def active_paths(self) -> list[ColoredPath]:
-        return [p for p in self.paths if p.status == ACTIVE]
 
 
 def _bottleneck(tables: FlowTables, position: int) -> int:
@@ -160,14 +155,6 @@ def build_tables(net: Network) -> FlowTables:
     tables.path_bottleneck = [_bottleneck(tables, p) for p in range(len(paths))]
     tables.path_color_count = [_color_count(tables, p) for p in range(len(paths))]
     return tables
-
-
-def color_count(tables: FlowTables, path: ColoredPath) -> int:
-    """Distinct colors over the path's edges (discarded paths excluded)."""
-    position = tables.index_of(path)
-    if tables.paths[position].status != ACTIVE:
-        raise ValueError(f"path {path.label} is not active")
-    return tables.path_color_count[position]
 
 
 def _paths_on(tables: FlowTables, edges) -> list[int]:

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from typing import NamedTuple
 
 from hypothesis import strategies as st
 
-from mcflow import Commodity, Edge, Network
+from mcflow import Commodity, Cut, Edge, FlowState, Network
 
 
 def random_network(rng, max_nodes=8, max_edges=16, max_cap=10, commodity_range=(1, 1)):
@@ -62,6 +63,93 @@ def residual_hop_distance(net: Network, edge_flow, s: str, t: str):
                 dist[e.tail] = dist[u] + 1
                 queue.append(e.tail)
     return dist.get(t)
+
+
+class Augmentation(NamedTuple):
+    """An augmenting path: nodes, per-edge direction, and its leeway."""
+
+    nodes: tuple[str, ...]
+    steps: tuple[tuple[int, bool], ...]  # (edge id, traversed forward?)
+    leeway: int
+
+
+def reference_augmenting_path(net: Network, edge_flow, s: str, t: str):
+    """Shortest residual s-t path, or None when the flow is maximal.
+
+    Breadth first, rebuilding the per-node edge lists on every call; at
+    equal depth forward residual edges win over backward ones and lower
+    edge ids win within each kind.
+    """
+    out = {v: [] for v in net.nodes}
+    inc = {v: [] for v in net.nodes}
+    for edge in net.edges:
+        out[edge.tail].append(edge)
+        inc[edge.head].append(edge)
+    parent = {}
+    seen = {s}
+    queue = deque([s])
+    while queue and t not in seen:
+        u = queue.popleft()
+        for edge in out[u]:
+            if edge.head not in seen and edge_flow[edge.id] < edge.capacity:
+                seen.add(edge.head)
+                parent[edge.head] = (u, edge.id, True)
+                queue.append(edge.head)
+        for edge in inc[u]:
+            if edge.tail not in seen and edge_flow[edge.id] > 0:
+                seen.add(edge.tail)
+                parent[edge.tail] = (u, edge.id, False)
+                queue.append(edge.tail)
+    if t not in seen:
+        return None
+    steps = []
+    nodes = [t]
+    v = t
+    while v != s:
+        u, eid, forward = parent[v]
+        steps.append((eid, forward))
+        nodes.append(u)
+        v = u
+    steps.reverse()
+    nodes.reverse()
+    leeway = min(
+        net.edges[eid].capacity - edge_flow[eid] if forward else edge_flow[eid]
+        for eid, forward in steps
+    )
+    return Augmentation(tuple(nodes), tuple(steps), leeway)
+
+
+def reference_augment(net: Network, edge_flow, found: Augmentation) -> tuple[int, ...]:
+    """Edge flows after pushing found.leeway units along its steps."""
+    flows = list(edge_flow)
+    for eid, forward in found.steps:
+        flows[eid] += found.leeway if forward else -found.leeway
+        assert 0 <= flows[eid] <= net.edges[eid].capacity
+    return tuple(flows)
+
+
+def reference_max_flow(net: Network, s: str, t: str, commodity: int = 0) -> FlowState:
+    """Stepwise Edmonds-Karp: a fresh search and a new flow tuple per
+    augmentation, then the min cut from a separate reachability pass."""
+    flows = (0,) * len(net.edges)
+    value = 0
+    while (found := reference_augmenting_path(net, flows, s, t)) is not None:
+        flows = reference_augment(net, flows, found)
+        value += found.leeway
+    side = {s}
+    queue = deque([s])
+    while queue:
+        u = queue.popleft()
+        for e in net.edges:
+            if e.tail == u and flows[e.id] < e.capacity and e.head not in side:
+                side.add(e.head)
+                queue.append(e.head)
+            if e.head == u and flows[e.id] > 0 and e.tail not in side:
+                side.add(e.tail)
+                queue.append(e.tail)
+    cut_edges = tuple(e for e in net.edges if e.tail in side and e.head not in side)
+    cut = Cut(frozenset(side), cut_edges, sum(e.capacity for e in cut_edges))
+    return FlowState(commodity, s, t, flows, value, cut)
 
 
 def flow_is_feasible(net: Network, edge_flow, s: str, t: str) -> bool:

@@ -342,6 +342,22 @@ class TestGap:
         assert int(records["optimum"]) >= int(records["heuristic"])
 
 
+class TestDeepNetworks:
+    @pytest.mark.parametrize("command", ["gap", "oracle"])
+    def test_1200_node_chain(self, capsys, tmp_path, command):
+        # Far deeper than the interpreter's default recursion limit.
+        lines = [f"node v{i}" for i in range(1200)]
+        lines += [f"edge v{i} v{i + 1} 3" for i in range(1199)]
+        lines.append("commodity v0 v1199")
+        target = tmp_path / "chain.net"
+        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = invoke(capsys, [command, str(target), "--format", "structured"])
+        assert (code, err) == (0, "")
+        records = dict(line.split("\t")[:2] for line in out.splitlines())
+        assert records["optimum"] == "3"
+        assert records["truncated"] == "false"
+
+
 class TestExport:
     def test_plain_dot(self, capsys):
         code, out, _ = invoke(capsys, ["export", GOLDEN])
@@ -363,6 +379,13 @@ class TestExitCodesAndInput:
         assert code == 2
         assert out == ""
         assert "line 4" in err
+
+    def test_unprintable_node_name_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "nul.net"
+        target.write_text("node s\nnode a\x00\nedge s a 1\ncommodity s a\n", encoding="utf-8")
+        code, out, err = invoke(capsys, ["solve", str(target)])
+        assert (code, out) == (2, "")
+        assert "line 2" in err and "unprintable" in err
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = invoke(capsys, ["solve", str(DATA / "nope.net")])

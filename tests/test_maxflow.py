@@ -1,6 +1,7 @@
-"""Augmenting-path search, max flow against a brute-force cut oracle,
-and path decomposition."""
+"""Augmenting-path search, max flow against a brute-force cut oracle and
+the stepwise reference, and path decomposition."""
 
+import dataclasses
 import random
 
 import pytest
@@ -11,37 +12,38 @@ from helpers import (
     flow_is_feasible,
     networks,
     random_network,
+    reference_augment,
+    reference_augmenting_path,
+    reference_max_flow,
     residual_hop_distance,
 )
 from mcflow import (
     FlowState,
-    augment,
     decompose_cut_paths,
-    find_augmenting_path,
     max_flow,
     parse_network,
     path_nodes,
-    zero_flow,
 )
 
-
 class TestFindAugmentingPath:
+    """The reference search defines the tie-break max_flow must follow."""
+
     def test_single_edge(self, single_edge_text):
         net = parse_network(single_edge_text)
-        found = find_augmenting_path(net, zero_flow(net, "s", "t"), "s", "t")
+        found = reference_augmenting_path(net, (0,), "s", "t")
         assert found.nodes == ("s", "t")
         assert found.steps == ((0, True),)
         assert found.leeway == 5
 
     def test_saturated_edge_has_no_path(self, single_edge_text):
         net = parse_network(single_edge_text)
+        assert reference_augmenting_path(net, (5,), "s", "t") is None
+        # max_flow's own search agrees: the saturated flow decomposes
         f = FlowState(0, "s", "t", (5,), 5)
-        assert find_augmenting_path(net, f, "s", "t") is None
+        assert [p.edges for p in decompose_cut_paths(net, f)] == [(0,)]
 
     def test_golden_first_path_is_the_direct_edge(self, golden_net):
-        found = find_augmenting_path(
-            golden_net, zero_flow(golden_net, "s1", "t1"), "s1", "t1"
-        )
+        found = reference_augmenting_path(golden_net, (0,) * 8, "s1", "t1")
         assert found.nodes == ("s1", "t1")
         assert found.leeway == 5
 
@@ -53,55 +55,82 @@ class TestFindAugmentingPath:
             "edge s b 1\nedge a t 1\n"
             "commodity s t\n"
         )
-        f = FlowState(0, "s", "t", (1, 1, 1, 0, 0), 1)
-        found = find_augmenting_path(net, f, "s", "t")
+        found = reference_augmenting_path(net, (1, 1, 1, 0, 0), "s", "t")
         assert (1, False) in found.steps
         assert found.leeway == 1
+        f = max_flow(net, "s", "t")
+        assert f.value == 2
+        assert f == reference_max_flow(net, "s", "t")
 
     def test_unknown_node_rejected(self, golden_net):
         with pytest.raises(ValueError, match="not in network"):
-            find_augmenting_path(golden_net, zero_flow(golden_net, "s1", "t1"), "s1", "zz")
+            max_flow(golden_net, "s1", "zz")
+        with pytest.raises(ValueError, match="not in network"):
+            decompose_cut_paths(golden_net, FlowState(0, "s1", "zz", (0,) * 8, 0))
 
     @settings(max_examples=60)
     @given(networks(max_nodes=6, max_edges=10))
     def test_returned_path_is_shortest(self, net):
         # Hop length must match an independent BFS distance at every step.
         com = net.commodities[0]
-        f = zero_flow(net, com.source, com.sink)
+        flows = (0,) * len(net.edges)
         while True:
-            found = find_augmenting_path(net, f, com.source, com.sink)
-            expected = residual_hop_distance(net, f.edge_flow, com.source, com.sink)
+            found = reference_augmenting_path(net, flows, com.source, com.sink)
+            expected = residual_hop_distance(net, flows, com.source, com.sink)
             if found is None:
                 assert expected is None
                 break
             assert len(found.steps) == expected
             assert found.leeway >= 1
-            f = augment(net, f, found)
+            flows = reference_augment(net, flows, found)
 
 
 class TestAugment:
     def test_value_increases_by_leeway(self, golden_net):
-        f = zero_flow(golden_net, "s1", "t1")
-        found = find_augmenting_path(golden_net, f, "s1", "t1")
-        after = augment(golden_net, f, found)
-        assert after.value - f.value == found.leeway
-        assert after.edge_flow[0] == 5
+        found = reference_augmenting_path(golden_net, (0,) * 8, "s1", "t1")
+        after = reference_augment(golden_net, (0,) * 8, found)
+        assert sum(after[e.id] for e in golden_net.edges if e.tail == "s1") == found.leeway
+        assert after[0] == 5
 
-    def test_excessive_leeway_rejected(self, golden_net):
-        from mcflow import AugmentResult
 
-        f = zero_flow(golden_net, "s1", "t1")
-        bogus = AugmentResult(("s1", "t1"), ((0, True),), 6)
-        with pytest.raises(ValueError, match="capacity"):
-            augment(golden_net, f, bogus)
+class TestMatchesReference:
+    """max_flow must equal the stepwise reference, min cut included."""
 
-    def test_nonpositive_leeway_rejected(self, golden_net):
-        from mcflow import AugmentResult
+    def test_seeded_corpus(self):
+        rng = random.Random(4404)
+        for _ in range(240):
+            net = random_network(
+                rng, max_nodes=10, max_edges=24, commodity_range=(1, 3)
+            )
+            for com in net.commodities:
+                f = max_flow(net, com.source, com.sink, commodity=com.index)
+                ref = reference_max_flow(net, com.source, com.sink, commodity=com.index)
+                assert f == ref
+                # the cut found inside decomposition matches the stored one
+                assert decompose_cut_paths(net, f) == decompose_cut_paths(
+                    net, dataclasses.replace(f, min_cut=None)
+                )
 
-        f = zero_flow(golden_net, "s1", "t1")
-        bogus = AugmentResult(("s1", "t1"), ((0, True),), 0)
-        with pytest.raises(ValueError, match="positive"):
-            augment(golden_net, f, bogus)
+    def test_forward_step_wins_equal_depth_tie(self):
+        # The second search reaches u, then y forward and x backward at the
+        # same depth; both lead to w.  Forward first routes via y, keeping
+        # the unit on x->u.  Random corpora almost never hit this tie.
+        net = parse_network(
+            "node s\nnode x\nnode z\nnode u\nnode y\nnode w\nnode t\n"
+            "edge s x 1\nedge x u 1\nedge u t 1\nedge s z 1\nedge z u 1\n"
+            "edge u y 1\nedge x w 1\nedge y w 1\nedge w t 1\n"
+            "commodity s t\n"
+        )
+        f = max_flow(net, "s", "t")
+        assert f.edge_flow == (1, 1, 1, 1, 1, 1, 0, 1, 1)
+        assert f == reference_max_flow(net, "s", "t")
+
+    @settings(max_examples=100)
+    @given(networks(max_nodes=7, max_edges=14, max_commodities=3))
+    def test_random_networks(self, net):
+        for com in net.commodities:
+            f = max_flow(net, com.source, com.sink, commodity=com.index)
+            assert f == reference_max_flow(net, com.source, com.sink, commodity=com.index)
 
 
 class TestMaxFlow:
@@ -191,7 +220,7 @@ class TestDecomposeCutPaths:
     def test_rejects_non_maximal_flow(self, single_edge_text):
         net = parse_network(single_edge_text)
         with pytest.raises(ValueError, match="not maximal"):
-            decompose_cut_paths(net, zero_flow(net, "s", "t"))
+            decompose_cut_paths(net, FlowState(0, "s", "t", (0,), 0))
 
     def test_flow_cycle_is_cancelled(self):
         # Maximal flow whose extra units spin on a detached cycle.

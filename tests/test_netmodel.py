@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import networks
 from mcflow import (
@@ -17,6 +18,22 @@ from mcflow import (
     render_path,
     validate_network,
 )
+
+# Legal and illegal node names and capacity tokens for near-valid text.
+_NAMES = ["a", "b", "c", "a\x00", "b\x7f", "\u200b"]
+_CAPACITIES = ["0", "7", "12", "-1", "+5", "1_0", "\u0665", "\u0663\u0662"]
+
+
+@st.composite
+def odd_network_texts(draw):
+    names = draw(st.lists(st.sampled_from(_NAMES), min_size=2, max_size=4, unique=True))
+    lines = [f"node {name}" for name in names]
+    for _ in range(draw(st.integers(1, 3))):
+        tail, head = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+        lines.append(f"edge {tail} {head} {draw(st.sampled_from(_CAPACITIES))}")
+    source, sink = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+    lines.append(f"commodity {source} {sink}")
+    return "\n".join(lines) + "\n"
 
 
 class TestParse:
@@ -67,6 +84,11 @@ class TestParse:
             ("node s\nnode t\ncommodity s t\n", 3, "no edges"),
             ("node\n", 1, "expects 1 argument"),
             ("node s\nnode t\nedge s t\n", 3, "expects 3 arguments"),
+            ("node s\nnode a\x00\n", 2, "unprintable"),
+            ("node s\nnode t\nedge s t 1_0\n", 3, "not an integer"),
+            ("node s\nnode t\nedge s t \u0665\n", 3, "not an integer"),
+            ("node s\nnode t\nedge s t +5\n", 3, "not an integer"),
+            ("node s\nnode t\nedge s t -07\n", 3, "negative capacity"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line, fragment):
@@ -94,6 +116,14 @@ class TestRoundTrip:
     @given(networks())
     def test_parsed_networks_validate_clean(self, net):
         assert validate_network(parse_network(render_network(net))) == []
+
+    @given(odd_network_texts())
+    def test_accepted_text_validates_clean(self, text):
+        try:
+            net = parse_network(text)
+        except NetworkParseError:
+            return
+        assert validate_network(net) == []
 
 
 class TestValidate:

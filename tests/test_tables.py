@@ -14,7 +14,6 @@ from mcflow import (
     apply_shipment,
     audit_tables,
     build_tables,
-    color_count,
     parse_network,
 )
 
@@ -123,19 +122,13 @@ class TestBuildTables:
 class TestColorCount:
     def test_golden_lookup(self, golden_text):
         t = fresh_golden(golden_text)
-        assert [color_count(t, p) for p in t.paths] == [1, 3, 2, 2]
+        assert [t.path_color_count[t.index_of(p)] for p in t.paths] == [1, 3, 2, 2]
 
     def test_unknown_path_rejected(self, golden_text):
         t = fresh_golden(golden_text)
         stranger = ColoredPath(commodity=3, ordinal=1, edges=(0,), bottleneck=1)
         with pytest.raises(ValueError, match="not in tables"):
-            color_count(t, stranger)
-
-    def test_inactive_path_rejected(self, golden_text):
-        t = fresh_golden(golden_text)
-        apply_shipment(t, t.paths[0], 5)
-        with pytest.raises(ValueError, match="not active"):
-            color_count(t, t.paths[0])
+            t.index_of(stranger)
 
 
 class TestApplyShipment:
@@ -174,7 +167,7 @@ class TestApplyShipment:
         apply_shipment(t, t.paths[2], 10)
         apply_shipment(t, t.paths[3], 10)
         assert [p.status for p in t.paths] == [USED, DISCARDED, USED, USED]
-        assert t.active_paths() == []
+        assert not any(p.status == ACTIVE for p in t.paths)
         assert audit_tables(t) == []
 
     def test_wrong_amount_rejected(self, golden_text):
@@ -260,7 +253,7 @@ class TestAuditTables:
             t = build_tables(net)
             assert audit_tables(t) == []
             while True:
-                active = t.active_paths()
+                active = [p for p in t.paths if p.status == ACTIVE]
                 if not active:
                     break
                 p = rng.choice(active)
