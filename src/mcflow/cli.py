@@ -357,7 +357,7 @@ def run(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     try:
         text = _read_input(args.input)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -51,9 +51,10 @@ def greedy_solve(tables: FlowTables) -> Assignment:
     Requires freshly built tables (every path active).  Feasible by
     construction: each shipment moves exactly the path's current residual
     bottleneck.  The next path comes off a heap keyed by (color count,
-    commodity, ordinal, position); color counts only ever fall, so a path
-    whose count changes is pushed again and popped entries that are
-    inactive or carry a stale count are skipped.
+    commodity, ordinal, position).  A path whose count changes is pushed
+    again; counts only ever fall, so its fresher, smaller key pops first
+    and ships or discards the path.  Every entry popped for a still active
+    path therefore carries its current count, and the rest are skipped.
     """
     if any(path.status != ACTIVE for path in tables.paths):
         raise ValueError("greedy_solve requires freshly built tables")
@@ -71,8 +72,9 @@ def greedy_solve(tables: FlowTables) -> Assignment:
     while heap:
         count, _, _, position = heapq.heappop(heap)
         choice = paths[position]
-        if choice.status != ACTIVE or count != counts[position]:
+        if choice.status != ACTIVE:
             continue
+        assert count == counts[position], "stale heap entry for an active path"
         amount = tables.path_bottleneck[position]
         dropped, recounted = ship_position(tables, position, amount)
         shipments.append((choice, amount))

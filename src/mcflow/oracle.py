@@ -3,17 +3,23 @@ comparison report against the greedy heuristic.
 
 The search space is every simple source-sink path of every commodity, each
 carrying an integer amount bounded by the remaining capacity along it.
-Branch and bound explores the amount vectors in two deterministic passes:
-a descending pass pins the optimum quickly, an ascending pass then recovers
-the lexicographically smallest optimal vector as the canonical witness.
-Both passes share one node budget; exhausting it (or the per-commodity path
-limit) flags the result truncated rather than guessing.
+One iterative branch and bound explores the amount vectors, and runs
+twice.  Each pass prunes a node whose bound cannot reach a target value.
+The descending pass tries high amounts first and raises its target past
+every leaf it records, which pins the optimum quickly; the ascending pass
+targets that optimum, tries low amounts first and stops at the first leaf
+reaching it, the lexicographically smallest optimal vector, which is the
+canonical witness.  The search keeps an explicit stack with one amount
+iterator per path on the current prefix, so the catalog size is not bounded
+by the interpreter's recursion limit.  Both passes share one node budget;
+exhausting it (or the per-commodity path limit) flags the result truncated
+rather than guessing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .heuristic import greedy_solve, upper_bounds
 from .netmodel import Commodity, Network
@@ -128,83 +134,62 @@ def optimal_value(
     for k in range(m - 1, -1, -1):
         static_suffix[k] = static_suffix[k + 1] + paths[k].bottleneck
     amounts = [0] * m
-    best_value = 0
     best_vector = [0] * m
     explored = 0
-    budget_hit = False
+    target = 1  # the value a leaf must reach; the descending pass raises it
 
-    def path_cap(k: int) -> int:
-        return min(residual[eid] for eid in paths[k].edges)
-
-    def remaining_bound(k: int) -> int:
-        return sum(path_cap(j) for j in range(k, m))
-
-    def descend(k: int, current: int) -> None:
-        nonlocal explored, best_value, best_vector, budget_hit
-        if budget_hit:
-            return
-        explored += 1
-        if explored > max_candidates:
-            budget_hit = True
-            return
-        if k == m:
-            if current > best_value:
-                best_value = current
-                best_vector = amounts.copy()
-            return
-        if current + static_suffix[k] <= best_value:
-            return
-        if current + remaining_bound(k) <= best_value:
-            return
-        for a in range(path_cap(k), -1, -1):
-            amounts[k] = a
-            for eid in paths[k].edges:
-                residual[eid] -= a
-            descend(k + 1, current + a)
-            for eid in paths[k].edges:
-                residual[eid] += a
-            amounts[k] = 0
-            if budget_hit:
-                return
-
-    def ascend(k: int, current: int) -> bool:
-        # First completion reaching best_value, in ascending amount order,
-        # is the lexicographically smallest optimal vector.
-        nonlocal explored, budget_hit
-        if budget_hit:
-            return False
-        explored += 1
-        if explored > max_candidates:
-            budget_hit = True
-            return False
-        if k == m:
-            return current == best_value
-        if current + static_suffix[k] < best_value:
-            return False
-        if current + remaining_bound(k) < best_value:
-            return False
-        for a in range(0, path_cap(k) + 1):
-            amounts[k] = a
-            for eid in paths[k].edges:
-                residual[eid] -= a
-            hit = ascend(k + 1, current + a)
-            for eid in paths[k].edges:
-                residual[eid] += a
-            if hit:
-                return True
-            amounts[k] = 0
-            if budget_hit:
+    def search(descending: bool) -> bool:
+        # Depth first over amount vectors; frames[k] yields the amounts
+        # still to try on path k, high to low when descending.  A node is
+        # pruned when the static suffix bound, or else the sum of the
+        # suffix paths' residual capacities, cannot reach `target`.  The
+        # descending pass records each leaf reaching `target` and raises
+        # `target` past it; the ascending pass stops at the first such leaf,
+        # leaving it in `amounts`, and returns True.  Both passes share the
+        # node budget: once it runs out, explored > max_candidates.
+        nonlocal explored, target, best_vector
+        frames: list[Iterator[int]] = []
+        current = 0
+        while True:
+            explored += 1
+            if explored > max_candidates:
                 return False
-        return False
+            k = len(frames)
+            if k == m:
+                if current >= target:
+                    if not descending:
+                        return True
+                    best_vector = amounts.copy()
+                    target = current + 1
+            elif current + static_suffix[k] >= target:
+                caps = [min(residual[eid] for eid in path.edges) for path in paths[k:]]
+                if current + sum(caps) >= target:
+                    tries = range(caps[0] + 1)
+                    frames.append(reversed(tries) if descending else iter(tries))
+            # Step to the next node: the next amount on the deepest path
+            # that has one left; exhausted paths drop back to 0 on the way.
+            while frames:
+                k = len(frames) - 1
+                a = next(frames[k], None)
+                if a is None:
+                    frames.pop()
+                    a = 0
+                delta = a - amounts[k]
+                amounts[k] = a
+                current += delta
+                for eid in paths[k].edges:
+                    residual[eid] -= delta
+                if len(frames) > k:
+                    break
+            else:
+                return False
 
-    descend(0, 0)
-    if budget_hit:
-        return OracleResult(best_value, tuple(best_vector), explored, True, paths)
-    found = ascend(0, 0)
-    if budget_hit:
-        return OracleResult(best_value, tuple(best_vector), explored, True, paths)
-    assert found, "optimum witnessed in the first pass must be recoverable"
-    return OracleResult(best_value, tuple(amounts), explored, False, paths)
+    search(descending=True)
+    target -= 1  # the best value found; the ascending pass must reach it
+    if explored <= max_candidates and search(descending=False):
+        return OracleResult(target, tuple(amounts), explored, False, paths)
+    assert explored > max_candidates, "the optimum found descending must be recoverable"
+    return OracleResult(target, tuple(best_vector), explored, True, paths)
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,23 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from hypothesis import strategies as st
 
-from mcflow import Commodity, Cut, Edge, FlowState, Network
+from mcflow import (
+    DEFAULT_MAX_CANDIDATES,
+    DEFAULT_MAX_PATHS,
+    Commodity,
+    Cut,
+    Edge,
+    FlowState,
+    Network,
+    OracleLimitError,
+    OracleResult,
+    SimplePath,
+    enumerate_paths,
+)
 
 
 def random_network(rng, max_nodes=8, max_edges=16, max_cap=10, commodity_range=(1, 1)):
@@ -150,6 +162,119 @@ def reference_max_flow(net: Network, s: str, t: str, commodity: int = 0) -> Flow
     cut_edges = tuple(e for e in net.edges if e.tail in side and e.head not in side)
     cut = Cut(frozenset(side), cut_edges, sum(e.capacity for e in cut_edges))
     return FlowState(commodity, s, t, flows, value, cut)
+
+
+def reference_optimal_value(
+    net: Network,
+    max_paths: int = DEFAULT_MAX_PATHS,
+    max_candidates: int = DEFAULT_MAX_CANDIDATES,
+    catalog: Sequence[SimplePath] | None = None,
+) -> OracleResult:
+    """The recursive two-pass branch and bound that optimal_value replaced,
+    kept unchanged as its reference: same visit order, prunes, budget and
+    result.  Recurses once per catalog path, so keep catalogs small.
+
+    Exact integral optimum over simple-path flows, within limits.
+
+    Independent of path enumeration order: the optimum is a property of the
+    instance, and the witness is canonical (lexicographically smallest over
+    the catalog order used).  Pass `catalog` to restrict the search to a
+    known path set.
+    """
+    if catalog is None:
+        try:
+            catalog = [
+                path
+                for com in net.commodities
+                for path in enumerate_paths(net, com, max_paths)
+            ]
+        except OracleLimitError:
+            return OracleResult(0, (), 0, True, ())
+    paths = tuple(catalog)
+    m = len(paths)
+    residual = [e.capacity for e in net.edges]
+    # Static suffix bound from full capacities: cheap first-stage prune.
+    static_suffix = [0] * (m + 1)
+    for k in range(m - 1, -1, -1):
+        static_suffix[k] = static_suffix[k + 1] + paths[k].bottleneck
+    amounts = [0] * m
+    best_value = 0
+    best_vector = [0] * m
+    explored = 0
+    budget_hit = False
+
+    def path_cap(k: int) -> int:
+        return min(residual[eid] for eid in paths[k].edges)
+
+    def remaining_bound(k: int) -> int:
+        return sum(path_cap(j) for j in range(k, m))
+
+    def descend(k: int, current: int) -> None:
+        nonlocal explored, best_value, best_vector, budget_hit
+        if budget_hit:
+            return
+        explored += 1
+        if explored > max_candidates:
+            budget_hit = True
+            return
+        if k == m:
+            if current > best_value:
+                best_value = current
+                best_vector = amounts.copy()
+            return
+        if current + static_suffix[k] <= best_value:
+            return
+        if current + remaining_bound(k) <= best_value:
+            return
+        for a in range(path_cap(k), -1, -1):
+            amounts[k] = a
+            for eid in paths[k].edges:
+                residual[eid] -= a
+            descend(k + 1, current + a)
+            for eid in paths[k].edges:
+                residual[eid] += a
+            amounts[k] = 0
+            if budget_hit:
+                return
+
+    def ascend(k: int, current: int) -> bool:
+        # First completion reaching best_value, in ascending amount order,
+        # is the lexicographically smallest optimal vector.
+        nonlocal explored, budget_hit
+        if budget_hit:
+            return False
+        explored += 1
+        if explored > max_candidates:
+            budget_hit = True
+            return False
+        if k == m:
+            return current == best_value
+        if current + static_suffix[k] < best_value:
+            return False
+        if current + remaining_bound(k) < best_value:
+            return False
+        for a in range(0, path_cap(k) + 1):
+            amounts[k] = a
+            for eid in paths[k].edges:
+                residual[eid] -= a
+            hit = ascend(k + 1, current + a)
+            for eid in paths[k].edges:
+                residual[eid] += a
+            if hit:
+                return True
+            amounts[k] = 0
+            if budget_hit:
+                return False
+        return False
+
+    descend(0, 0)
+    if budget_hit:
+        return OracleResult(best_value, tuple(best_vector), explored, True, paths)
+    found = ascend(0, 0)
+    if budget_hit:
+        return OracleResult(best_value, tuple(best_vector), explored, True, paths)
+    assert found, "optimum witnessed in the first pass must be recoverable"
+    return OracleResult(best_value, tuple(amounts), explored, False, paths)
 
 
 def flow_is_feasible(net: Network, edge_flow, s: str, t: str) -> bool:

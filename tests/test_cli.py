@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import mcflow.cli
 from helpers import random_network
@@ -27,6 +29,7 @@ GOLDEN = str(DATA / "two_commodity.net")
 DISJOINT = str(DATA / "disjoint.net")
 SINGLE = str(DATA / "single_edge.net")
 BAD = str(DATA / "bad_negative.net")
+GOLDEN_BYTES = (DATA / "two_commodity.net").read_bytes()
 
 
 def invoke(capsys, argv):
@@ -357,6 +360,21 @@ class TestDeepNetworks:
         assert records["optimum"] == "3"
         assert records["truncated"] == "false"
 
+    @pytest.mark.parametrize("command", ["gap", "oracle"])
+    def test_1100_path_catalog(self, capsys, tmp_path, command):
+        # The oracle's search goes one level deeper per catalog path.
+        lines = ["node s", "node t"] + ["edge s t 1"] * 1100 + ["commodity s t"]
+        target = tmp_path / "parallel.net"
+        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = invoke(
+            capsys,
+            [command, str(target), "--max-paths", "2000", "--format", "structured"],
+        )
+        assert (code, err) == (0, "")
+        records = dict(line.split("\t")[:2] for line in out.splitlines())
+        assert records["optimum"] == "1100"
+        assert records["truncated"] == "false"
+
 
 class TestExport:
     def test_plain_dot(self, capsys):
@@ -386,6 +404,35 @@ class TestExitCodesAndInput:
         code, out, err = invoke(capsys, ["solve", str(target)])
         assert (code, out) == (2, "")
         assert "line 2" in err and "unprintable" in err
+
+    def test_undecodable_file_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "latin1.net"
+        target.write_bytes(b"node a\xff\nnode b\nedge a b 1\ncommodity a b\n")
+        code, out, err = invoke(capsys, ["validate", str(target)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "utf-8" in err
+        assert "Traceback" not in err
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        data=st.one_of(
+            st.binary(max_size=200),
+            st.tuples(
+                st.integers(0, len(GOLDEN_BYTES)), st.binary(min_size=1, max_size=4)
+            ).map(lambda cut: GOLDEN_BYTES[: cut[0]] + cut[1] + GOLDEN_BYTES[cut[0] :]),
+        )
+    )
+    def test_arbitrary_bytes_exit_0_to_3(self, capsys, tmp_path, data):
+        target = tmp_path / "soup.net"
+        target.write_bytes(data)
+        for command, *options in (["validate"], ["solve"], ["gap", "--max-candidates", "1000"]):
+            code = run([command, str(target), *options])
+            assert type(code) is int and 0 <= code <= 3
+        capsys.readouterr()
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = invoke(capsys, ["solve", str(DATA / "nope.net")])

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from helpers import exhaustive_best, networks, random_network
+from helpers import exhaustive_best, networks, random_network, reference_optimal_value
 from mcflow import (
     OracleLimitError,
     build_tables,
@@ -180,6 +180,45 @@ class TestOptimalValue:
 
     def test_deterministic_across_runs(self, golden_net):
         assert optimal_value(golden_net) == optimal_value(golden_net)
+
+
+class TestMatchesReference:
+    """optimal_value must return the recursive reference's whole result:
+    optimum, witness, explored count, truncation and catalog."""
+
+    def test_seeded_corpus_at_every_budget(self):
+        rng = random.Random(5505)
+        nonzero = 0
+        for _ in range(200):
+            net = random_network(
+                rng, max_nodes=6, max_edges=10, max_cap=5, commodity_range=(2, 3)
+            )
+            full = reference_optimal_value(net)
+            assert not full.truncated
+            assert optimal_value(net) == full
+            nonzero += full.optimum > 0
+            # Budget 1 stops the descending pass at its root; one node short
+            # of the full count stops the ascending pass at its last node.
+            for budget in (1, full.explored - 1):
+                result = optimal_value(net, max_candidates=budget)
+                assert result == reference_optimal_value(net, max_candidates=budget)
+                assert result.truncated
+            assert result.optimum == full.optimum
+        assert nonzero >= 120
+
+    def test_explicit_catalog(self):
+        rng = random.Random(6606)
+        for _ in range(60):
+            net = random_network(
+                rng, max_nodes=6, max_edges=10, max_cap=5, commodity_range=(2, 3)
+            )
+            catalog = [
+                path for com in net.commodities for path in enumerate_paths(net, com)
+            ]
+            catalog.reverse()
+            result = optimal_value(net, catalog=catalog)
+            assert result == reference_optimal_value(net, catalog=catalog)
+            assert result.paths == tuple(catalog)
 
 
 class TestGapReport:
