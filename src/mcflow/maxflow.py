@@ -1,27 +1,33 @@
 """Single-commodity maximum flow and its decomposition.
 
-max_flow runs Edmonds-Karp on one mutable flow list: each augmentation is
-one breadth-first residual search (_residual_search) over the network's
-cached per-node edge lists (Network.adjacency), built once per network.
-The search has a fixed tie-break (forward residual edges before backward
-ones at the same depth, lower edge ids first), so repeated runs produce
-identical paths, identical flows, and an identical min cut.  The search
-that fails to reach the sink reaches exactly the canonical source side:
-the min cut returned is that node set together with the saturated edges
-leaving it.
+Both run on the network's integer residual arcs (`Network.arcs`, built
+once per network): arc 2*e is edge e forward, arc 2*e+1 is edge e
+backward, and each node lists its forward arcs, then its backward arcs,
+each in edge-id order.
 
-decompose_cut_paths peels a max flow into simple source-sink paths, lowest
-edge id first, after cancelling any flow cycles.  Every peeled path crosses
-the min cut exactly once.
+max_flow is Edmonds-Karp over one list `res` of 2E residual capacities:
+each augmentation is one breadth-first search (_residual_search) that
+records the arc labeling each node, and pushing d units along arc a is
+`res[a] -= d; res[a ^ 1] += d`, so the flow on edge e is `res[2*e + 1]`.
+The search's fixed arc order (forward before backward at the same depth,
+lower edge ids first) makes repeated runs produce identical paths, flows
+and min cut.  The search that fails to reach the sink visits exactly the
+canonical source side: the min cut returned is that node set together
+with the edges leaving it.
+
+decompose_cut_paths checks maximality with the same search, then works on
+per-node lists of the edges carrying flow, built once per call: it cancels
+any flow cycles and peels simple source-sink paths, lowest edge id first.
+Every peeled path crosses the min cut exactly once.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from operator import sub
 from typing import Sequence
 
-from .netmodel import Edge, Network, path_nodes
+from .netmodel import Edge, Network
 
 __all__ = [
     "ACTIVE",
@@ -103,119 +109,129 @@ def _check_endpoints(net: Network, s: str, t: str) -> None:
         raise ValueError("source equals sink")
 
 
-Step = tuple[str, int, bool]  # (previous node, edge id, traversed forward?)
-
-
 def _residual_search(
-    net: Network, flows: Sequence[int], s: str, t: str
-) -> dict[str, Step | None]:
-    """Breadth-first search over the residual graph of `flows` from s.
+    out: Sequence[Sequence[tuple[int, int]]], res: Sequence[int], s: int, t: int
+) -> tuple[list[int], list[int]]:
+    """Breadth-first search from s over the arcs with positive residual
+    capacity `res`; `out` is `Network.arcs.out`.
 
-    Maps every node labeled before t was reached to the step that reached
-    it (s maps to None).  At equal depth forward residual edges win over
-    backward ones and lower edge ids win within each kind, so the parent
-    steps trace the canonical shortest augmenting path.  When t is not
-    reached the keys are exactly the nodes residually reachable from s.
+    Returns the arc that labeled each node (-1 for unlabeled nodes, -2 for
+    s) and the labeled nodes in visit order.  Arcs are tried in `out`
+    order, so at equal depth forward arcs win over backward ones and lower
+    edge ids win within each kind: the parent arcs trace the canonical
+    shortest augmenting path.  The search stops as soon as t is labeled;
+    when t is not reached, the visited nodes are exactly those residually
+    reachable from s.
     """
-    out, inc = net.adjacency
-    parent: dict[str, Step | None] = {s: None}
-    queue = deque([s])
-    while queue and t not in parent:
-        u = queue.popleft()
-        for edge in out[u]:  # forward residual edges first
-            if edge.head not in parent and flows[edge.id] < edge.capacity:
-                parent[edge.head] = (u, edge.id, True)
-                queue.append(edge.head)
-        for edge in inc[u]:  # then backward residual edges
-            if edge.tail not in parent and flows[edge.id] > 0:
-                parent[edge.tail] = (u, edge.id, False)
-                queue.append(edge.tail)
-    return parent
+    parent = [-1] * len(out)
+    parent[s] = -2
+    queue = [s]
+    for u in queue:  # the list grows while it is read: a FIFO queue
+        for a, w in out[u]:
+            if parent[w] == -1 and res[a] > 0:
+                parent[w] = a
+                if w == t:
+                    return parent, queue
+                queue.append(w)
+    return parent, queue
 
 
-def _source_cut(net: Network, source_side: frozenset[str]) -> Cut:
+def _source_cut(net: Network, source_side: Sequence[int]) -> Cut:
+    inside = [False] * len(net.nodes)
+    for v in source_side:
+        inside[v] = True
+    tail = net.arcs.tail
     cut_edges = tuple(
-        e for e in net.edges if e.tail in source_side and e.head not in source_side
+        e for e in net.edges if inside[tail[2 * e.id]] and not inside[tail[2 * e.id + 1]]
     )
-    return Cut(source_side, cut_edges, sum(e.capacity for e in cut_edges))
+    return Cut(
+        frozenset(net.nodes[v] for v in source_side),
+        cut_edges,
+        sum(e.capacity for e in cut_edges),
+    )
+
+
+def _residuals(net: Network, edge_flow: Sequence[int]) -> list[int]:
+    """Residual capacity per arc: spare capacity forward, flow backward."""
+    res = [0] * (2 * len(net.edges))
+    res[0::2] = map(sub, net.arcs.capacity, edge_flow)
+    res[1::2] = edge_flow
+    return res
 
 
 def max_flow(net: Network, s: str, t: str, commodity: int = 0) -> FlowState:
     """Augment to completion; the result carries the canonical min cut."""
     _check_endpoints(net, s, t)
-    flows = [0] * len(net.edges)
+    arcs = net.arcs
+    tail = arcs.tail
+    si, ti = arcs.index[s], arcs.index[t]
+    res = [0] * (2 * len(net.edges))
+    res[0::2] = arcs.capacity
     value = 0
-    budget = sum(e.capacity for e in net.adjacency[0][s])
+    budget = sum(res[a] for a, _ in arcs.out[si])
     rounds = 0
     while True:
-        parent = _residual_search(net, flows, s, t)
-        if t not in parent:
+        parent, reached = _residual_search(arcs.out, res, si, ti)
+        if parent[ti] == -1:
             break
-        steps: list[tuple[int, bool]] = []
-        v = t
-        while v != s:
-            v, eid, forward = parent[v]  # type: ignore[misc]
-            steps.append((eid, forward))
-        leeway = min(
-            net.edges[eid].capacity - flows[eid] if forward else flows[eid]
-            for eid, forward in steps
-        )
-        for eid, forward in steps:
-            flows[eid] += leeway if forward else -leeway
+        path = []
+        v = ti
+        while v != si:
+            a = parent[v]
+            path.append(a)
+            v = tail[a]
+        leeway = min(res[a] for a in path)
+        for a in path:
+            res[a] -= leeway
+            res[a ^ 1] += leeway
         value += leeway
         rounds += 1
         assert rounds <= budget, "augmentation count exceeded total source capacity"
-    cut = _source_cut(net, frozenset(parent))
+    cut = _source_cut(net, reached)
     assert t not in cut.source_side
     assert value == cut.capacity, "flow value must equal the reachability cut capacity"
-    return FlowState(commodity, s, t, tuple(flows), value, cut)
+    return FlowState(commodity, s, t, tuple(res[1::2]), value, cut)
 
 
-def _find_flow_cycle(net: Network, flows: list[int]) -> list[int] | None:
-    """Edge ids of one directed cycle in the positive-flow subgraph."""
-    out = net.adjacency[0]
-    WHITE, GRAY, BLACK = 0, 1, 2
-    state = dict.fromkeys(net.nodes, WHITE)
+def _cancel_flow_cycles(positive: list[list[tuple[int, int]]], flows: list[int]) -> None:
+    """Zero every directed cycle of the positive-flow subgraph.
 
-    def positive(v: str) -> list[Edge]:
-        return [e for e in out[v] if flows[e.id] > 0]
-
-    for start in net.nodes:
-        if state[start] != WHITE:
-            continue
-        stack: list[tuple[str, object]] = [(start, iter(positive(start)))]
-        trail: list[Edge] = []  # trail[i] joins stack[i] to stack[i+1]
-        state[start] = GRAY
-        while stack:
-            node, edges_left = stack[-1]
-            step = next(edges_left, None)  # type: ignore[arg-type]
-            if step is None:
-                state[node] = BLACK
-                stack.pop()
-                if trail:
-                    trail.pop()
-                continue
-            if step.tail == step.head:
-                return [step.id]
-            if state[step.head] == GRAY:
-                cycle = [step.id]
-                for back in reversed(trail):
-                    cycle.append(back.id)
-                    if back.tail == step.head:
-                        break
-                return cycle
-            if state[step.head] == WHITE:
-                state[step.head] = GRAY
-                trail.append(step)
-                stack.append((step.head, iter(positive(step.head))))
-    return None
-
-
-def _cancel_flow_cycles(net: Network, flows: list[int]) -> None:
-    # Backward augmentations can leave flow cycles; they carry no
-    # source-sink value, so zero them before peeling paths.
+    Backward augmentations can leave flow cycles; they carry no
+    source-sink value.  `positive[v]` lists (edge id, head) for the edges
+    leaving node v in id order; entries whose flow has dropped to zero are
+    skipped.  Each pass is a depth-first search over the nodes in order;
+    the first edge into a node on the current trail closes a cycle, whose
+    smallest flow is cancelled before the search starts again.
+    """
     while True:
-        cycle = _find_flow_cycle(net, flows)
+        state = [0] * len(positive)  # 0 unvisited, 1 on the trail, 2 done
+        cycle: list[int] | None = None
+        for start in range(len(positive)):
+            if state[start] or not positive[start]:  # no flow out, no cycle
+                continue
+            state[start] = 1
+            nodes = [start]  # trail[i] joins nodes[i] to nodes[i + 1]
+            trail: list[int] = []
+            frames = [iter(positive[start])]
+            while frames:
+                for eid, head in frames[-1]:
+                    if flows[eid] > 0 and state[head] != 2:
+                        break
+                else:
+                    state[nodes.pop()] = 2
+                    frames.pop()
+                    if trail:
+                        trail.pop()
+                    continue
+                if state[head] == 1:
+                    cycle = [eid, *trail[nodes.index(head):]]
+                    break
+                state[head] = 1
+                nodes.append(head)
+                trail.append(eid)
+                frames.append(iter(positive[head]))
+            if cycle is not None:
+                break
         if cycle is None:
             return
         delta = min(flows[eid] for eid in cycle)
@@ -231,30 +247,47 @@ def decompose_cut_paths(net: Network, f: FlowState) -> list[ColoredPath]:
     bottleneck, repeatedly, until the source has no positive out-flow.
     """
     _check_endpoints(net, f.source, f.sink)
-    reached = _residual_search(net, f.edge_flow, f.source, f.sink)
-    if f.sink in reached:
+    arcs = net.arcs
+    s, t = arcs.index[f.source], arcs.index[f.sink]
+    parent, reached = _residual_search(arcs.out, _residuals(net, f.edge_flow), s, t)
+    if parent[t] != -1:
         raise ValueError("flow is not maximal; decomposition requires a max flow")
-    cut = f.min_cut if f.min_cut is not None else _source_cut(net, frozenset(reached))
+    cut = f.min_cut if f.min_cut is not None else _source_cut(net, reached)
     cut_ids = {e.id for e in cut.cut_edges}
-    out = net.adjacency[0]
     flows = list(f.edge_flow)
-    _cancel_flow_cycles(net, flows)
+    tail = arcs.tail
+    positive: list[list[tuple[int, int]]] = [[] for _ in arcs.out]
+    for eid, amount in enumerate(flows):
+        if amount > 0:
+            positive[tail[2 * eid]].append((eid, tail[2 * eid + 1]))
+    _cancel_flow_cycles(positive, flows)
+    first = [0] * len(positive)  # entries before it carry no flow any more
+
+    def next_edge(v: int) -> tuple[int, int] | None:
+        edges = positive[v]
+        i = first[v]
+        while i < len(edges) and flows[edges[i][0]] == 0:
+            i += 1
+        first[v] = i
+        return edges[i] if i < len(edges) else None
+
     paths: list[ColoredPath] = []
     peeled = 0
-    while any(flows[e.id] > 0 for e in out[f.source]):
+    while next_edge(s) is not None:
         walk: list[int] = []
-        v = f.source
-        while v != f.sink:
-            candidates = [e for e in out[v] if flows[e.id] > 0]
-            assert candidates, f"flow conservation broken at {v!r}"
-            walk.append(candidates[0].id)
-            v = candidates[0].head
+        visited = [s]
+        v = s
+        while v != t:
+            step = next_edge(v)
+            assert step is not None, f"flow conservation broken at {net.nodes[v]!r}"
+            walk.append(step[0])
+            v = step[1]
+            visited.append(v)
             assert len(walk) <= len(net.edges), "cycle encountered during peeling"
         amount = min(flows[eid] for eid in walk)
         for eid in walk:
             flows[eid] -= amount
         peeled += amount
-        visited = path_nodes(net, walk)
         assert len(set(visited)) == len(visited), "peeled path is not simple"
         assert sum(1 for eid in walk if eid in cut_ids) == 1, (
             "path must cross the min cut exactly once"

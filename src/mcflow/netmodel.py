@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from .heuristic import Assignment
@@ -64,6 +64,23 @@ class Commodity:
     sink: str
 
 
+class _Arcs(NamedTuple):
+    """A network as numbered residual arcs.
+
+    Arc 2*e is edge e traversed forward and arc 2*e+1 the same edge
+    backward, so `a ^ 1` is an arc's reverse.  `index` numbers the nodes
+    in declaration order; `out[v]` lists the arcs leaving node v as
+    (arc, other end): its forward arcs first, then its backward arcs, each
+    group in edge-id order, which is the search tie-break.  `tail[a]` is
+    the node arc a leaves; `capacity[e]` is edge e's capacity.
+    """
+
+    index: dict[str, int]
+    out: tuple[tuple[tuple[int, int], ...], ...]
+    tail: tuple[int, ...]
+    capacity: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class Network:
     """Immutable directed network with an ordered commodity list."""
@@ -77,21 +94,29 @@ class Network:
         return frozenset(self.nodes)
 
     @cached_property
-    def adjacency(
-        self,
-    ) -> tuple[dict[str, tuple[Edge, ...]], dict[str, tuple[Edge, ...]]]:
-        """Per node, the edges leaving it and the edges entering it, in id
-        order (declaration order is id order).  Built on first use and
-        shared by every caller, so treat both maps as read-only."""
-        out: dict[str, list[Edge]] = {v: [] for v in self.nodes}
-        inc: dict[str, list[Edge]] = {v: [] for v in self.nodes}
+    def arcs(self) -> _Arcs:
+        """The network as integer residual arcs, for max flow, decomposition
+        and path enumeration.  Built on first use and shared by every
+        caller, so treat it as read-only."""
+        index = {name: number for number, name in enumerate(self.nodes)}
+        out: list[list[tuple[int, int]]] = [[] for _ in self.nodes]
+        back: list[list[tuple[int, int]]] = [[] for _ in self.nodes]
+        tail: list[int] = []
         for edge in self.edges:
-            out[edge.tail].append(edge)
-            inc[edge.head].append(edge)
-        return (
-            {v: tuple(edges) for v, edges in out.items()},
-            {v: tuple(edges) for v, edges in inc.items()},
+            u, w = index[edge.tail], index[edge.head]
+            out[u].append((2 * edge.id, w))
+            back[w].append((2 * edge.id + 1, u))
+            tail += (u, w)
+        return _Arcs(
+            index,
+            tuple(tuple(fwd + bwd) for fwd, bwd in zip(out, back)),
+            tuple(tail),
+            tuple(edge.capacity for edge in self.edges),
         )
+
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
+        return tuple(_violations(self))
 
     def commodity(self, index: int) -> Commodity:
         for com in self.commodities:
@@ -183,7 +208,13 @@ def parse_network(text: str) -> Network:
 
 
 def validate_network(net: Network) -> list[str]:
-    """Return one message per violated structural invariant; [] when sound."""
+    """Return one message per violated structural invariant; [] when sound.
+
+    The check runs once per network; each call returns a fresh list."""
+    return list(net._problems)
+
+
+def _violations(net: Network) -> list[str]:
     violations: list[str] = []
     seen: set[str] = set()
     for name in net.nodes:

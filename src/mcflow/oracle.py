@@ -71,36 +71,44 @@ def enumerate_paths(
     """All simple source-sink paths of one commodity, depth first with
     lower edge ids explored first.  Raises OracleLimitError past `limit`.
 
-    Iterative: one edge iterator per node on the current trail, so path
-    length is not bounded by the interpreter's recursion limit."""
-    out = net.adjacency[0]
+    Iterative: one iterator over `Network.arcs` per node on the current
+    trail, reading only the forward arcs, so path length is not bounded by
+    the interpreter's recursion limit."""
+    arcs = net.arcs
+    sink = arcs.index[commodity.sink]
     found: list[SimplePath] = []
-    trail: list[int] = []  # trail[i] leads into the node of frames[i + 1]
-    visited = {commodity.source}
-    frames = [iter(out[commodity.source])]
+    trail: list[int] = []  # trail[i] leads from nodes[i] into nodes[i + 1]
+    nodes = [arcs.index[commodity.source]]
+    on_trail = [False] * len(arcs.out)
+    on_trail[nodes[0]] = True
+    frames = [iter(arcs.out[nodes[0]])]
     while frames:
-        edge = next(frames[-1], None)
-        if edge is None:
+        step = next(frames[-1], None)
+        if step is None or step[0] & 1:  # the forward arcs are done
             frames.pop()
+            on_trail[nodes.pop()] = False
             if trail:
-                visited.remove(net.edges[trail.pop()].head)
-        elif edge.head == commodity.sink:
-            edges = (*trail, edge.id)
+                trail.pop()
+            continue
+        eid, head = step[0] >> 1, step[1]
+        if head == sink:
+            edges = (*trail, eid)
             found.append(
                 SimplePath(
                     commodity.index,
                     edges,
-                    min(net.edges[eid].capacity for eid in edges),
+                    min(net.edges[e].capacity for e in edges),
                 )
             )
             if len(found) > limit:
                 raise OracleLimitError(
                     f"commodity {commodity.index}: more than {limit} simple paths"
                 )
-        elif edge.head not in visited:
-            visited.add(edge.head)
-            trail.append(edge.id)
-            frames.append(iter(out[edge.head]))
+        elif not on_trail[head]:
+            on_trail[head] = True
+            nodes.append(head)
+            trail.append(eid)
+            frames.append(iter(arcs.out[head]))
     return found
 
 

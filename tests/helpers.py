@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from mcflow import (
     DEFAULT_MAX_CANDIDATES,
     DEFAULT_MAX_PATHS,
+    ColoredPath,
     Commodity,
     Cut,
     Edge,
@@ -26,6 +27,7 @@ from mcflow import (
     OracleResult,
     SimplePath,
     enumerate_paths,
+    path_nodes,
 )
 
 
@@ -44,6 +46,65 @@ def random_network(rng, max_nodes=8, max_edges=16, max_cap=10, commodity_range=(
         source, sink = rng.sample(range(node_count), 2)
         commodities.append(Commodity(index, names[source], names[sink]))
     return Network(names, tuple(edges), tuple(commodities))
+
+
+def regular_network(rng, node_count, degree, commodity_count, max_cap=20):
+    """Seeded digraph in which every node has `degree` out- and in-edges.
+
+    Parallel edges can occur; self-loops are swapped away.
+    """
+    names = tuple(f"v{i}" for i in range(node_count))
+    tails = [v for v in range(node_count) for _ in range(degree)]
+    heads = tails.copy()
+    rng.shuffle(heads)
+    for i in range(len(heads)):
+        while heads[i] == tails[i]:
+            j = rng.randrange(len(heads))
+            if heads[j] != tails[i] and tails[j] != heads[i]:
+                heads[i], heads[j] = heads[j], heads[i]
+    edges = tuple(
+        Edge(eid, names[tail], names[head], rng.randint(1, max_cap))
+        for eid, (tail, head) in enumerate(zip(tails, heads))
+    )
+    commodities = []
+    for index in range(1, commodity_count + 1):
+        source, sink = rng.sample(range(node_count), 2)
+        commodities.append(Commodity(index, names[source], names[sink]))
+    return Network(names, edges, tuple(commodities))
+
+
+def add_circulations(net: Network, edge_flow, rng, rounds=3) -> tuple[int, ...]:
+    """Push spare capacity around directed cycles of unsaturated edges.
+
+    The value and maximality of the flow are unchanged, so the result is
+    another max flow, now with flow cycles for decomposition to cancel.
+    """
+    flows = list(edge_flow)
+    for _ in range(rounds):
+        slack = [e for e in net.edges if flows[e.id] < e.capacity]
+        if not slack:
+            break
+        first = rng.choice(slack)
+        # shortest unsaturated path from first.head back to first.tail
+        parent = {first.head: None}
+        queue = deque([first.head])
+        while queue and first.tail not in parent:
+            u = queue.popleft()
+            for e in slack:
+                if e.tail == u and e.head not in parent:
+                    parent[e.head] = e
+                    queue.append(e.head)
+        if first.tail not in parent:
+            continue
+        cycle = [first]
+        v = first.tail
+        while parent[v] is not None:
+            cycle.append(parent[v])
+            v = parent[v].tail
+        delta = min(e.capacity - flows[e.id] for e in cycle)
+        for e in cycle:
+            flows[e.id] += delta
+    return tuple(flows)
 
 
 def brute_force_min_cut(net: Network, s: str, t: str) -> int:
@@ -148,6 +209,11 @@ def reference_max_flow(net: Network, s: str, t: str, commodity: int = 0) -> Flow
     while (found := reference_augmenting_path(net, flows, s, t)) is not None:
         flows = reference_augment(net, flows, found)
         value += found.leeway
+    return FlowState(commodity, s, t, flows, value, reference_cut(net, flows, s))
+
+
+def reference_cut(net: Network, flows, s: str) -> Cut:
+    """The nodes residually reachable from s and the edges leaving them."""
     side = {s}
     queue = deque([s])
     while queue:
@@ -160,8 +226,113 @@ def reference_max_flow(net: Network, s: str, t: str, commodity: int = 0) -> Flow
                 side.add(e.tail)
                 queue.append(e.tail)
     cut_edges = tuple(e for e in net.edges if e.tail in side and e.head not in side)
-    cut = Cut(frozenset(side), cut_edges, sum(e.capacity for e in cut_edges))
-    return FlowState(commodity, s, t, flows, value, cut)
+    return Cut(frozenset(side), cut_edges, sum(e.capacity for e in cut_edges))
+
+
+def reference_out_edges(net: Network) -> dict[str, tuple[Edge, ...]]:
+    """Per node, the edges leaving it in id order."""
+    out = {v: [] for v in net.nodes}
+    for edge in net.edges:
+        out[edge.tail].append(edge)
+    return {v: tuple(edges) for v, edges in out.items()}
+
+
+def reference_find_flow_cycle(net: Network, flows: list[int]) -> list[int] | None:
+    """Edge ids of one directed cycle in the positive-flow subgraph."""
+    out = reference_out_edges(net)
+    WHITE, GRAY, BLACK = 0, 1, 2
+    state = dict.fromkeys(net.nodes, WHITE)
+
+    def positive(v: str) -> list[Edge]:
+        return [e for e in out[v] if flows[e.id] > 0]
+
+    for start in net.nodes:
+        if state[start] != WHITE:
+            continue
+        stack: list[tuple[str, object]] = [(start, iter(positive(start)))]
+        trail: list[Edge] = []  # trail[i] joins stack[i] to stack[i+1]
+        state[start] = GRAY
+        while stack:
+            node, edges_left = stack[-1]
+            step = next(edges_left, None)  # type: ignore[arg-type]
+            if step is None:
+                state[node] = BLACK
+                stack.pop()
+                if trail:
+                    trail.pop()
+                continue
+            if step.tail == step.head:
+                return [step.id]
+            if state[step.head] == GRAY:
+                cycle = [step.id]
+                for back in reversed(trail):
+                    cycle.append(back.id)
+                    if back.tail == step.head:
+                        break
+                return cycle
+            if state[step.head] == WHITE:
+                state[step.head] = GRAY
+                trail.append(step)
+                stack.append((step.head, iter(positive(step.head))))
+    return None
+
+
+def reference_cancel_flow_cycles(net: Network, flows: list[int]) -> None:
+    # Backward augmentations can leave flow cycles; they carry no
+    # source-sink value, so zero them before peeling paths.
+    while True:
+        cycle = reference_find_flow_cycle(net, flows)
+        if cycle is None:
+            return
+        delta = min(flows[eid] for eid in cycle)
+        for eid in cycle:
+            flows[eid] -= delta
+
+
+def reference_decompose_cut_paths(net: Network, f: FlowState) -> list[ColoredPath]:
+    """The dict-based decomposition that decompose_cut_paths replaced:
+    a restarted depth-first cycle search, then peeling walks that re-filter
+    each node's out-edges at every step.
+
+    Deterministic: flow cycles are cancelled first, then the walk following
+    the lowest-id positive-flow edge out of each node is peeled by its
+    bottleneck, repeatedly, until the source has no positive out-flow.
+    """
+    for v in (f.source, f.sink):
+        if v not in net.node_set:
+            raise ValueError(f"node {v!r} not in network")
+    if f.source == f.sink:
+        raise ValueError("source equals sink")
+    if reference_augmenting_path(net, f.edge_flow, f.source, f.sink) is not None:
+        raise ValueError("flow is not maximal; decomposition requires a max flow")
+    cut = f.min_cut if f.min_cut is not None else reference_cut(net, f.edge_flow, f.source)
+    cut_ids = {e.id for e in cut.cut_edges}
+    out = reference_out_edges(net)
+    flows = list(f.edge_flow)
+    reference_cancel_flow_cycles(net, flows)
+    paths: list[ColoredPath] = []
+    peeled = 0
+    while any(flows[e.id] > 0 for e in out[f.source]):
+        walk: list[int] = []
+        v = f.source
+        while v != f.sink:
+            candidates = [e for e in out[v] if flows[e.id] > 0]
+            assert candidates, f"flow conservation broken at {v!r}"
+            walk.append(candidates[0].id)
+            v = candidates[0].head
+            assert len(walk) <= len(net.edges), "cycle encountered during peeling"
+        amount = min(flows[eid] for eid in walk)
+        for eid in walk:
+            flows[eid] -= amount
+        peeled += amount
+        visited = path_nodes(net, walk)
+        assert len(set(visited)) == len(visited), "peeled path is not simple"
+        assert sum(1 for eid in walk if eid in cut_ids) == 1, (
+            "path must cross the min cut exactly once"
+        )
+        paths.append(ColoredPath(f.commodity, len(paths) + 1, tuple(walk), amount))
+    assert peeled == f.value, "decomposition amounts must sum to the flow value"
+    return paths
 
 
 def reference_optimal_value(

@@ -21,6 +21,8 @@ import time
 from functools import lru_cache
 from pathlib import Path
 
+import pytest
+
 from helpers import brute_force_min_cut, direct_inclusion_exclusion, random_network
 from mcflow import (
     Cut,
@@ -119,6 +121,7 @@ def test_criterion_4_greedy_feasibility():
     _report(4, "greedy feasibility", " (500 instances)")
 
 
+@pytest.mark.slow
 def test_criterion_5_optimality_gap(tmp_path):
     golden = parse_network((DATA / "two_commodity.net").read_text(encoding="utf-8"))
     assert gap_report(golden).gap == 0

@@ -1,5 +1,6 @@
 """Augmenting-path search, max flow against a brute-force cut oracle and
-the stepwise reference, and path decomposition."""
+the stepwise reference, path decomposition against its reference, and the
+per-network caches."""
 
 import dataclasses
 import random
@@ -8,22 +9,44 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import (
+    add_circulations,
     brute_force_min_cut,
     flow_is_feasible,
     networks,
     random_network,
     reference_augment,
     reference_augmenting_path,
+    reference_decompose_cut_paths,
+    reference_find_flow_cycle,
     reference_max_flow,
+    regular_network,
     residual_hop_distance,
 )
 from mcflow import (
+    Commodity,
+    Edge,
     FlowState,
+    Network,
+    build_tables,
     decompose_cut_paths,
+    greedy_solve,
     max_flow,
     parse_network,
     path_nodes,
+    validate_network,
 )
+
+
+def assert_matches_reference(net):
+    """Whole FlowState and decomposition equal the references for every
+    commodity, the decomposition also without the stored cut."""
+    for com in net.commodities:
+        f = max_flow(net, com.source, com.sink, commodity=com.index)
+        assert f == reference_max_flow(net, com.source, com.sink, commodity=com.index)
+        paths = decompose_cut_paths(net, f)
+        assert paths == reference_decompose_cut_paths(net, f)
+        assert paths == decompose_cut_paths(net, dataclasses.replace(f, min_cut=None))
+
 
 class TestFindAugmentingPath:
     """The reference search defines the tie-break max_flow must follow."""
@@ -94,7 +117,8 @@ class TestAugment:
 
 
 class TestMatchesReference:
-    """max_flow must equal the stepwise reference, min cut included."""
+    """max_flow must equal the stepwise reference, min cut included, and
+    decompose_cut_paths its reference, with and without the stored cut."""
 
     def test_seeded_corpus(self):
         rng = random.Random(4404)
@@ -102,14 +126,7 @@ class TestMatchesReference:
             net = random_network(
                 rng, max_nodes=10, max_edges=24, commodity_range=(1, 3)
             )
-            for com in net.commodities:
-                f = max_flow(net, com.source, com.sink, commodity=com.index)
-                ref = reference_max_flow(net, com.source, com.sink, commodity=com.index)
-                assert f == ref
-                # the cut found inside decomposition matches the stored one
-                assert decompose_cut_paths(net, f) == decompose_cut_paths(
-                    net, dataclasses.replace(f, min_cut=None)
-                )
+            assert_matches_reference(net)
 
     def test_forward_step_wins_equal_depth_tie(self):
         # The second search reaches u, then y forward and x backward at the
@@ -128,9 +145,7 @@ class TestMatchesReference:
     @settings(max_examples=100)
     @given(networks(max_nodes=7, max_edges=14, max_commodities=3))
     def test_random_networks(self, net):
-        for com in net.commodities:
-            f = max_flow(net, com.source, com.sink, commodity=com.index)
-            assert f == reference_max_flow(net, com.source, com.sink, commodity=com.index)
+        assert_matches_reference(net)
 
 
 class TestMaxFlow:
@@ -267,3 +282,143 @@ class TestDecomposeCutPaths:
         paths = decompose_cut_paths(net, f)
         assert sum(p.bottleneck for p in paths) == f.value
         assert [p.ordinal for p in paths] == list(range(1, len(paths) + 1))
+
+
+class TestDecompositionMatchesReference:
+    """decompose_cut_paths must equal the dict-based reference, including
+    on flows where it has cycles to cancel."""
+
+    def test_seeded_corpus_with_flow_cycles(self):
+        rng = random.Random(2)
+        with_cycles = 0
+        for _ in range(3000):
+            net = random_network(rng, max_nodes=12, max_edges=80)
+            com = net.commodities[0]
+            f = max_flow(net, com.source, com.sink, commodity=com.index)
+            if reference_find_flow_cycle(net, list(f.edge_flow)) is not None:
+                with_cycles += 1
+            assert decompose_cut_paths(net, f) == reference_decompose_cut_paths(net, f)
+        assert with_cycles >= 1  # the comparison covers cycle cancelling
+
+    def test_added_circulations(self):
+        # Max flows with spare capacity pushed around cycles: same value,
+        # still maximal, several cycles per flow to cancel.
+        rng = random.Random(919)
+        with_cycles = 0
+        for _ in range(150):
+            net = random_network(rng, max_nodes=8, max_edges=30, max_cap=6)
+            com = net.commodities[0]
+            f = max_flow(net, com.source, com.sink, commodity=com.index)
+            spun = dataclasses.replace(
+                f, edge_flow=add_circulations(net, f.edge_flow, rng)
+            )
+            if reference_find_flow_cycle(net, list(spun.edge_flow)) is not None:
+                with_cycles += 1
+            paths = decompose_cut_paths(net, spun)
+            assert paths == reference_decompose_cut_paths(net, spun)
+            assert paths == decompose_cut_paths(
+                net, dataclasses.replace(spun, min_cut=None)
+            )
+        assert with_cycles >= 50
+
+
+class TestStressFixtures:
+    """Max flow and decomposition equal the references on shapes the
+    random corpora rarely produce."""
+
+    def test_dense_parallel_edges(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            net = random_network(
+                rng, max_nodes=4, max_edges=150, max_cap=12, commodity_range=(2, 3)
+            )
+            assert_matches_reference(net)
+
+    def test_zero_capacity_edges(self):
+        rng = random.Random(32)
+        for _ in range(150):
+            net = random_network(
+                rng, max_nodes=8, max_edges=20, max_cap=1, commodity_range=(1, 3)
+            )
+            assert_matches_reference(net)
+
+    def test_only_path_has_zero_capacity(self):
+        net = parse_network(
+            "node s\nnode a\nnode b\nnode t\n"
+            "edge s a 5\nedge a t 0\nedge t b 4\nedge b s 0\n"
+            "commodity s t\ncommodity b a\n"
+        )
+        assert_matches_reference(net)
+        f = max_flow(net, "s", "t")
+        assert f.value == 0
+        assert f.edge_flow == (0, 0, 0, 0)
+        assert f.min_cut.source_side == frozenset({"s", "a"})
+        assert [e.id for e in f.min_cut.cut_edges] == [1]
+        assert decompose_cut_paths(net, f) == []
+
+    def test_all_zero_capacities(self):
+        net = parse_network(
+            "node s\nnode a\nnode t\n"
+            "edge s a 0\nedge a t 0\nedge s t 0\nedge s t 0\n"
+            "commodity s t\n"
+        )
+        assert_matches_reference(net)
+        f = max_flow(net, "s", "t")
+        assert (f.value, f.min_cut.source_side) == (0, frozenset({"s"}))
+        assert [e.id for e in f.min_cut.cut_edges] == [0, 2, 3]
+
+    def test_regular_digraph_600_nodes(self):
+        net = regular_network(random.Random(600), 600, 4, 3)
+        assert len(net.edges) == 2400
+        assert_matches_reference(net)
+
+
+class TestPerNetworkCaches:
+    """Networks cache their arcs and validation problems on the instance.
+    A cache keyed by object id would hand a freed network's result to a
+    new network that reuses its id."""
+
+    SHAPES = [
+        "node a\nnode b\nedge a b 3\ncommodity a b\n",
+        "node x\nnode a\nnode b\nedge a x 2\nedge x b 1\nedge a b 4\ncommodity a b\n",
+        "node b\nnode a\nedge b a 7\nedge a b 2\ncommodity a b\ncommodity b a\n",
+    ]
+
+    def test_freed_networks_do_not_share_results(self):
+        rng = random.Random(8)
+        parts = [parse_network(text) for text in self.SHAPES]
+        parts += [
+            random_network(rng, max_nodes=9, max_edges=25, commodity_range=(1, 3))
+            for _ in range(30)
+        ]
+        parts = [(net.nodes, net.edges, net.commodities) for net in parts]
+        ids = []
+        for nodes, edges, commodities in parts * 2:
+            net = Network(nodes, edges, commodities)
+            ids.append(id(net))
+            greedy_solve(build_tables(net))
+            for com in net.commodities:
+                assert max_flow(
+                    net, com.source, com.sink, commodity=com.index
+                ) == reference_max_flow(net, com.source, com.sink, commodity=com.index)
+            del net
+        assert len(set(ids)) < len(ids)  # ids were reused, so the check bites
+
+    def test_invalid_networks_keep_their_own_problems(self):
+        cases = [(Edge(0, "s", "t", -k), f"negative capacity -{k}") for k in range(1, 6)]
+        cases += [
+            (Edge(0, "s", "s", 1), "self-loop"),
+            (Edge(0, "s", "u", 1), "endpoint 'u' not declared"),
+        ]
+        ids = []
+        for edge, expected in cases:
+            net = Network(("s", "t"), (edge,), (Commodity(1, "s", "t"),))
+            ids.append(id(net))
+            problems = validate_network(net)
+            assert len(problems) == 1 and expected in problems[0]
+            problems.append("caller's own entry")
+            assert validate_network(net) == problems[:1]
+            with pytest.raises(ValueError, match="invalid network: .*" + expected):
+                build_tables(net)
+            del net
+        assert len(set(ids)) < len(ids)
