@@ -146,7 +146,7 @@ def _cmd_maxflow(net: Network, index: int, structured: bool) -> int:
 
 def _cmd_tables(net: Network, structured: bool) -> int:
     tables = build_tables(net)
-    color_of = {cid: color.name for cid, color in tables.colors.items()}
+    color_of = {path.color.id: path.color.name for path in tables.paths}
     if structured:
         records: list[tuple] = []
         for edge in net.edges:

@@ -5,13 +5,19 @@ once per network): arc 2*e is edge e forward, arc 2*e+1 is edge e
 backward, and each node lists its forward arcs, then its backward arcs,
 each in edge-id order.
 
-max_flow is Edmonds-Karp over one list `res` of 2E residual capacities:
-each augmentation is one breadth-first search (_residual_search) that
-records the arc labeling each node, and pushing d units along arc a is
+max_flow augments along Edmonds-Karp's paths over one list `res` of 2E
+residual capacities; pushing d units along arc a is
 `res[a] -= d; res[a ^ 1] += d`, so the flow on edge e is `res[2*e + 1]`.
-The search's fixed arc order (forward before backward at the same depth,
-lower edge ids first) makes repeated runs produce identical paths, flows
-and min cut.  The search that fails to reach the sink visits exactly the
+Edmonds-Karp's breadth-first search, tried in `out` order (forward before
+backward, lower edge ids first), picks the shortest residual path whose
+arc positions are lexicographically smallest.  max_flow finds the same
+paths in phases: one breadth-first search back from the sink labels the
+nodes with their distance to it, then walks from the source along the
+first arc one step nearer, one path at a time, until no such walk
+reaches the sink.  Augmenting only adds arcs that lead away from the
+sink, so the labels stay exact for the whole phase.  The same input
+therefore always gives the same paths, flows and min cut.  Once the sink
+is out of reach, one forward search (_residual_search) visits exactly the
 canonical source side: the min cut returned is that node set together
 with the edges leaving it.
 
@@ -111,29 +117,25 @@ def _check_endpoints(net: Network, s: str, t: str) -> None:
 
 def _residual_search(
     out: Sequence[Sequence[tuple[int, int]]], res: Sequence[int], s: int, t: int
-) -> tuple[list[int], list[int]]:
+) -> list[int] | None:
     """Breadth-first search from s over the arcs with positive residual
     capacity `res`; `out` is `Network.arcs.out`.
 
-    Returns the arc that labeled each node (-1 for unlabeled nodes, -2 for
-    s) and the labeled nodes in visit order.  Arcs are tried in `out`
-    order, so at equal depth forward arcs win over backward ones and lower
-    edge ids win within each kind: the parent arcs trace the canonical
-    shortest augmenting path.  The search stops as soon as t is labeled;
-    when t is not reached, the visited nodes are exactly those residually
-    reachable from s.
+    Returns None as soon as t is labeled.  Otherwise returns the labeled
+    nodes in visit order: exactly those residually reachable from s, the
+    source side of the canonical min cut.
     """
-    parent = [-1] * len(out)
-    parent[s] = -2
+    seen = [False] * len(out)
+    seen[s] = True
     queue = [s]
     for u in queue:  # the list grows while it is read: a FIFO queue
         for a, w in out[u]:
-            if parent[w] == -1 and res[a] > 0:
-                parent[w] = a
+            if not seen[w] and res[a] > 0:
                 if w == t:
-                    return parent, queue
+                    return None
+                seen[w] = True
                 queue.append(w)
-    return parent, queue
+    return queue
 
 
 def _source_cut(net: Network, source_side: Sequence[int]) -> Cut:
@@ -142,7 +144,9 @@ def _source_cut(net: Network, source_side: Sequence[int]) -> Cut:
         inside[v] = True
     tail = net.arcs.tail
     cut_edges = tuple(
-        e for e in net.edges if inside[tail[2 * e.id]] and not inside[tail[2 * e.id + 1]]
+        e
+        for e, u, w in zip(net.edges, tail[0::2], tail[1::2])
+        if inside[u] and not inside[w]
     )
     return Cut(
         frozenset(net.nodes[v] for v in source_side),
@@ -159,34 +163,96 @@ def _residuals(net: Network, edge_flow: Sequence[int]) -> list[int]:
     return res
 
 
+def _distances_to(
+    out: Sequence[Sequence[tuple[int, int]]], res: Sequence[int], s: int, t: int
+) -> list[int] | None:
+    """Breadth-first search back from t: the residual hop distance to t of
+    every node nearer to t than s, and of s; -1 for the nodes not labeled.
+
+    An arc a = (v, w) in `out[v]` has its reverse a ^ 1 entering v from w,
+    so `res[a ^ 1] > 0` means w reaches v.  The search stops as soon as s
+    is labeled; returns None when s cannot reach t.
+    """
+    dist = [-1] * len(out)
+    dist[t] = 0
+    queue = [t]
+    for v in queue:  # the list grows while it is read: a FIFO queue
+        d = dist[v] + 1
+        for a, w in out[v]:
+            if dist[w] == -1 and res[a ^ 1] > 0:
+                dist[w] = d
+                if w == s:
+                    return dist
+                queue.append(w)
+    return None
+
+
 def max_flow(net: Network, s: str, t: str, commodity: int = 0) -> FlowState:
-    """Augment to completion; the result carries the canonical min cut."""
+    """Augment to completion; the result carries the canonical min cut.
+
+    The augmenting paths are Edmonds-Karp's, found in phases.  Each phase
+    labels nodes with their distance to t (_distances_to), then walks from
+    s along the first arc in `out` order that has residual capacity and
+    leads one step nearer to t, and pushes each path's own bottleneck
+    before looking for the next.  Each node keeps a pointer to its current
+    arc, and a node with no arc left is a dead end for the rest of the
+    phase.  The first path the walk completes is the shortest path with
+    the lexicographically smallest arc positions, the one a fresh forward
+    search would pick.  When s has no arc left, the next phase relabels;
+    when t is out of reach, one forward search gives the min cut.
+    """
     _check_endpoints(net, s, t)
     arcs = net.arcs
-    tail = arcs.tail
+    out = arcs.out
     si, ti = arcs.index[s], arcs.index[t]
     res = [0] * (2 * len(net.edges))
     res[0::2] = arcs.capacity
     value = 0
-    budget = sum(res[a] for a, _ in arcs.out[si])
+    budget = sum(res[a] for a, _ in out[si])
     rounds = 0
-    while True:
-        parent, reached = _residual_search(arcs.out, res, si, ti)
-        if parent[ti] == -1:
-            break
-        path = []
-        v = ti
-        while v != si:
-            a = parent[v]
-            path.append(a)
-            v = tail[a]
-        leeway = min(res[a] for a in path)
-        for a in path:
-            res[a] -= leeway
-            res[a ^ 1] += leeway
-        value += leeway
-        rounds += 1
-        assert rounds <= budget, "augmentation count exceeded total source capacity"
+    while (dist := _distances_to(out, res, si, ti)) is not None:
+        # The labels stay exact for the whole phase: augmenting only adds
+        # arcs leading away from t, so the arcs one step nearer to t only
+        # lose capacity, and a node's current arc and a dead end stay put.
+        current = [0] * len(out)
+        path: list[int] = []  # arcs from s; path[i] leaves nodes[i]
+        nodes = [si]
+        while True:
+            u = nodes[-1]
+            if u == ti:
+                left = [res[a] for a in path]
+                leeway = min(left)
+                for a in path:
+                    res[a] -= leeway
+                    res[a ^ 1] += leeway
+                value += leeway
+                rounds += 1
+                assert rounds <= budget, "augmentation count exceeded total source capacity"
+                # walking from s again retraces the path up to the first
+                # arc it saturated, so resume at that arc's tail
+                k = left.index(leeway)
+                del path[k:], nodes[k + 1 :]
+                continue
+            edges = out[u]
+            nearer = dist[u] - 1
+            i = current[u]
+            while i < len(edges):
+                a, w = edges[i]
+                if res[a] > 0 and dist[w] == nearer:
+                    break
+                i += 1
+            current[u] = i
+            if i < len(edges):
+                path.append(a)
+                nodes.append(w)
+            elif u == si:
+                break
+            else:
+                dist[u] = -1  # a dead end for the rest of the phase
+                path.pop()
+                nodes.pop()
+    reached = _residual_search(out, res, si, ti)
+    assert reached is not None, "the sink is still reachable after the last phase"
     cut = _source_cut(net, reached)
     assert t not in cut.source_side
     assert value == cut.capacity, "flow value must equal the reachability cut capacity"
@@ -249,8 +315,8 @@ def decompose_cut_paths(net: Network, f: FlowState) -> list[ColoredPath]:
     _check_endpoints(net, f.source, f.sink)
     arcs = net.arcs
     s, t = arcs.index[f.source], arcs.index[f.sink]
-    parent, reached = _residual_search(arcs.out, _residuals(net, f.edge_flow), s, t)
-    if parent[t] != -1:
+    reached = _residual_search(arcs.out, _residuals(net, f.edge_flow), s, t)
+    if reached is None:
         raise ValueError("flow is not maximal; decomposition requires a max flow")
     cut = f.min_cut if f.min_cut is not None else _source_cut(net, reached)
     cut_ids = {e.id for e in cut.cut_edges}

@@ -229,12 +229,24 @@ def _violations(net: Network) -> list[str]:
         violations.append("network has no edges")
     if not net.commodities:
         violations.append("network has no commodities")
+    node_set = net.node_set
+    # Sound edges and commodities pass the plain comparisons first; only a
+    # failing one is looked at again to word its messages.
     for position, edge in enumerate(net.edges):
+        if (
+            edge.id == position
+            and edge.tail in node_set
+            and edge.head in node_set
+            and type(edge.capacity) is int
+            and edge.capacity >= 0
+            and edge.tail != edge.head
+        ):
+            continue
         tag = f"edge {edge.id} ({edge.tail}->{edge.head})"
         if edge.id != position:
             violations.append(f"{tag}: id not dense at position {position}")
         for endpoint in (edge.tail, edge.head):
-            if endpoint not in net.node_set:
+            if endpoint not in node_set:
                 violations.append(f"{tag}: endpoint {endpoint!r} not declared")
         if isinstance(edge.capacity, bool) or not isinstance(edge.capacity, int):
             violations.append(f"{tag}: capacity {edge.capacity!r} is not an integer")
@@ -243,11 +255,18 @@ def _violations(net: Network) -> list[str]:
         if edge.tail == edge.head:
             violations.append(f"{tag}: self-loop")
     for position, com in enumerate(net.commodities):
+        if (
+            com.index == position + 1
+            and com.source in node_set
+            and com.sink in node_set
+            and com.source != com.sink
+        ):
+            continue
         tag = f"commodity {com.index}"
         if com.index != position + 1:
             violations.append(f"{tag}: index not dense at position {position}")
         for endpoint in (com.source, com.sink):
-            if endpoint not in net.node_set:
+            if endpoint not in node_set:
                 violations.append(f"{tag}: endpoint {endpoint!r} not declared")
         if com.source == com.sink:
             violations.append(f"{tag}: source equals sink")

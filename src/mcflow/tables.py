@@ -86,7 +86,6 @@ class FlowTables:
     path_color_count: list[int]
     cuts: dict[int, Cut]
     commodity_value: dict[int, int]
-    colors: dict[int, Color]
     path_position: dict[tuple[int, int], int]
     edge_paths: list[list[int]]
 
@@ -124,11 +123,8 @@ def build_tables(net: Network) -> FlowTables:
         cuts[com.index] = flow.min_cut
         commodity_value[com.index] = flow.value
         paths.extend(decompose_cut_paths(net, flow))
-    colors: dict[int, Color] = {}
     for position, path in enumerate(paths):
-        color = Color(position + 1, path.commodity, path.ordinal, _color_name(position))
-        path.color = color
-        colors[color.id] = color
+        path.color = Color(position + 1, path.commodity, path.ordinal, _color_name(position))
     edge_colors: list[set[int]] = [set() for _ in net.edges]
     edge_paths: list[list[int]] = [[] for _ in net.edges]
     for position, path in enumerate(paths):
@@ -148,7 +144,6 @@ def build_tables(net: Network) -> FlowTables:
         path_color_count=[],
         cuts=cuts,
         commodity_value=commodity_value,
-        colors=colors,
         path_position={path.key: position for position, path in enumerate(paths)},
         edge_paths=edge_paths,
     )

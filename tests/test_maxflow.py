@@ -3,6 +3,7 @@ the stepwise reference, path decomposition against its reference, and the
 per-network caches."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -46,6 +47,16 @@ def assert_matches_reference(net):
         paths = decompose_cut_paths(net, f)
         assert paths == reference_decompose_cut_paths(net, f)
         assert paths == decompose_cut_paths(net, dataclasses.replace(f, min_cut=None))
+
+
+def augmenting_path_lengths(net, s, t):
+    """Hop counts of the reference's augmenting paths, in order."""
+    flows = (0,) * len(net.edges)
+    lengths = []
+    while (found := reference_augmenting_path(net, flows, s, t)) is not None:
+        lengths.append(len(found.steps))
+        flows = reference_augment(net, flows, found)
+    return lengths
 
 
 class TestFindAugmentingPath:
@@ -118,7 +129,11 @@ class TestAugment:
 
 class TestMatchesReference:
     """max_flow must equal the stepwise reference, min cut included, and
-    decompose_cut_paths its reference, with and without the stored cut."""
+    decompose_cut_paths its reference, with and without the stored cut.
+
+    The reference starts a new search for every augmenting path; max_flow
+    finds the same paths in phases, so these cases also stress phases
+    with several augmentations and nodes stranded mid-phase."""
 
     def test_seeded_corpus(self):
         rng = random.Random(4404)
@@ -146,6 +161,45 @@ class TestMatchesReference:
     @given(networks(max_nodes=7, max_edges=14, max_commodities=3))
     def test_random_networks(self, net):
         assert_matches_reference(net)
+
+    def test_several_paths_per_phase(self):
+        # Dense networks with unit and small capacities: one distance to
+        # the sink carries several augmentations (a phase of max_flow), and
+        # augmenting strands nodes mid-phase (over 900 dead ends here).
+        rng = random.Random(7)
+        phases_with_several = 0
+        for _ in range(150):
+            net = random_network(
+                rng,
+                max_nodes=40,
+                max_edges=300,
+                max_cap=rng.choice((1, 2, 3)),
+                commodity_range=(1, 3),
+            )
+            assert_matches_reference(net)
+            for com in net.commodities:
+                lengths = augmenting_path_lengths(net, com.source, com.sink)
+                phases_with_several += sum(
+                    1 for _, run in itertools.groupby(lengths) if len(list(run)) > 1
+                )
+        assert phases_with_several >= 300
+
+    def test_node_stranded_within_a_phase(self):
+        # All four paths have three hops.  The first, s-a-x-t, saturates
+        # x->t, so x (two hops from s) is a dead end when b and then c try
+        # it later in the same phase; both must move on to y.
+        net = parse_network(
+            "node s\nnode a\nnode b\nnode c\nnode x\nnode y\nnode t\n"
+            "edge s a 2\nedge s b 1\nedge s c 1\n"
+            "edge a x 1\nedge b x 1\nedge c x 1\nedge x t 1\n"
+            "edge a y 1\nedge y t 3\nedge b y 1\nedge c y 1\n"
+            "commodity s t\n"
+        )
+        assert augmenting_path_lengths(net, "s", "t") == [3, 3, 3, 3]
+        f = max_flow(net, "s", "t")
+        assert f.value == 4
+        assert f.edge_flow == (2, 1, 1, 1, 0, 0, 1, 1, 3, 1, 1)
+        assert f == reference_max_flow(net, "s", "t")
 
 
 class TestMaxFlow:

@@ -34,7 +34,8 @@ class TestBuildTables:
 
     def test_golden_edge_colors(self, golden_text):
         t = fresh_golden(golden_text)
-        named = [sorted(t.colors[c].name for c in cell) for cell in t.edge_colors]
+        name_of = {p.color.id: p.color.name for p in t.paths}
+        named = [sorted(name_of[c] for c in cell) for cell in t.edge_colors]
         assert named == [
             ["Violet"],
             ["Green", "Red"],
@@ -109,8 +110,8 @@ class TestBuildTables:
 
     def test_color_ids_are_dense_and_distinct(self, golden_text):
         t = fresh_golden(golden_text)
-        assert sorted(t.colors) == list(range(1, 5))
-        assert len({c.name for c in t.colors.values()}) == 4
+        assert [p.color.id for p in t.paths] == list(range(1, 5))
+        assert len({p.color.name for p in t.paths}) == 4
 
     def test_sum_of_path_amounts_matches_commodity_value(self, golden_text):
         t = fresh_golden(golden_text)
