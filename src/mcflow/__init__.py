@@ -15,17 +15,7 @@ from .heuristic import (
     upper_bounds,
     validate_assignment,
 )
-from .maxflow import (
-    ACTIVE,
-    DISCARDED,
-    USED,
-    Color,
-    ColoredPath,
-    Cut,
-    FlowState,
-    decompose_cut_paths,
-    max_flow,
-)
+from .maxflow import ColoredPath, Cut, FlowState, decompose_cut_paths, max_flow
 from .netmodel import (
     Commodity,
     Edge,
@@ -50,11 +40,13 @@ from .oracle import (
     optimal_value,
 )
 from .tables import (
+    ACTIVE,
     COLOR_NAMES,
+    DISCARDED,
+    USED,
     FlowTables,
-    apply_shipment,
-    audit_tables,
     build_tables,
+    color_name,
 )
 
 __version__ = "0.1.0"
@@ -64,7 +56,6 @@ __all__ = [
     "Assignment",
     "BoundReport",
     "COLOR_NAMES",
-    "Color",
     "ColoredPath",
     "Commodity",
     "Cut",
@@ -82,9 +73,8 @@ __all__ = [
     "SimplePath",
     "USED",
     "UpperBounds",
-    "apply_shipment",
-    "audit_tables",
     "build_tables",
+    "color_name",
     "decompose_cut_paths",
     "enumerate_paths",
     "export_dot",

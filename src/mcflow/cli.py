@@ -4,8 +4,9 @@ Subcommands: validate, maxflow, tables, solve, bound, oracle, gap, export.
 Every subcommand reads one network file (or - for standard input) and
 writes its report to standard output; diagnostics go to standard error.
 
-Exit codes: 0 success, 1 network fails validation, 2 parse or usage error,
-3 oracle truncation.
+Exit codes: 0 success, 1 network fails validation, 2 parse or usage error
+or unreadable input (also when standard output is closed before the report
+is written, as by `| head`), 3 oracle truncation.
 
 The structured format is one record per line, fields separated by tabs,
 with repeated keys for list-valued data, so output is trivially machine
@@ -15,11 +16,13 @@ readable and byte-for-byte reproducible.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .heuristic import greedy_solve, inclusion_exclusion_bound, upper_bounds
 from .maxflow import decompose_cut_paths, max_flow
 from .netmodel import (
+    Commodity,
     Network,
     NetworkParseError,
     export_dot,
@@ -33,9 +36,20 @@ from .oracle import (
     gap_report,
     optimal_value,
 )
-from .tables import build_tables
+from .tables import build_tables, color_name
 
 __all__ = ["build_parser", "main", "run"]
+
+
+def _budget(text: str) -> int:
+    """An oracle limit: a non-negative integer, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,11 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
     add("solve", "run the greedy multicommodity heuristic")
     add("bound", "cut-intersection upper bound report")
     p = add("oracle", "exact optimum by exhaustive path-flow search")
-    p.add_argument("--max-paths", type=int, default=DEFAULT_MAX_PATHS)
-    p.add_argument("--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES)
+    p.add_argument("--max-paths", type=_budget, default=DEFAULT_MAX_PATHS)
+    p.add_argument("--max-candidates", type=_budget, default=DEFAULT_MAX_CANDIDATES)
     p = add("gap", "greedy heuristic vs exact oracle comparison")
-    p.add_argument("--max-paths", type=int, default=DEFAULT_MAX_PATHS)
-    p.add_argument("--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES)
+    p.add_argument("--max-paths", type=_budget, default=DEFAULT_MAX_PATHS)
+    p.add_argument("--max-candidates", type=_budget, default=DEFAULT_MAX_CANDIDATES)
     p = add("export", "Graphviz DOT export")
     p.add_argument(
         "--assignment",
@@ -105,8 +119,7 @@ def _cmd_validate(net: Network, problems: list[str], structured: bool) -> int:
     return 1 if problems else 0
 
 
-def _cmd_maxflow(net: Network, index: int, structured: bool) -> int:
-    com = net.commodity(index)
+def _cmd_maxflow(net: Network, com: Commodity, structured: bool) -> int:
     flow = max_flow(net, com.source, com.sink, commodity=com.index)
     cut = flow.min_cut
     assert cut is not None
@@ -146,12 +159,11 @@ def _cmd_maxflow(net: Network, index: int, structured: bool) -> int:
 
 def _cmd_tables(net: Network, structured: bool) -> int:
     tables = build_tables(net)
-    color_of = {path.color.id: path.color.name for path in tables.paths}
     if structured:
         records: list[tuple] = []
         for edge in net.edges:
             for cid in sorted(tables.edge_colors[edge.id]):
-                records.append(("edge_color", edge.id, color_of[cid]))
+                records.append(("edge_color", edge.id, color_name(cid)))
         records += [
             ("edge_residual", e.id, tables.edge_residual[e.id]) for e in net.edges
         ]
@@ -164,8 +176,8 @@ def _cmd_tables(net: Network, structured: bool) -> int:
             records.append(
                 ("path_color_count", path.label, tables.path_color_count[position])
             )
-        for path in tables.paths:
-            records.append(("path_status", path.label, path.status))
+        for position, path in enumerate(tables.paths):
+            records.append(("path_status", path.label, tables.path_status[position]))
         for com in net.commodities:
             cut = tables.cuts[com.index]
             records.append(("cut", com.index, cut.capacity))
@@ -179,7 +191,7 @@ def _cmd_tables(net: Network, structured: bool) -> int:
         width = max((len(label) for label in edge_label.values()), default=0)
         print("EDGE COLORS")
         for e in net.edges:
-            names = " ".join(color_of[cid] for cid in sorted(tables.edge_colors[e.id]))
+            names = " ".join(color_name(p) for p in sorted(tables.edge_colors[e.id]))
             print(f"  {edge_label[e.id]:<{width}} | {names}")
         print("EDGE RESIDUAL CAPACITY")
         for e in net.edges:
@@ -190,7 +202,7 @@ def _cmd_tables(net: Network, structured: bool) -> int:
                 f"{net.edges[eid].tail}->{net.edges[eid].head}({cap})"
                 for eid, cap in tables.path_record[position]
             )
-            print(f"  {path.label} [{path.status}] | {entry}")
+            print(f"  {path.label} [{tables.path_status[position]}] | {entry}")
         print("PATH BOTTLENECK")
         for position, path in enumerate(tables.paths):
             print(f"  {path.label} | {tables.path_bottleneck[position]}")
@@ -374,14 +386,16 @@ def run(argv: list[str]) -> int:
             print(f"error: {text_line}", file=sys.stderr)
         return 1
     if args.command == "maxflow":
-        if not any(com.index == args.commodity for com in net.commodities):
+        try:
+            com = net.commodity(args.commodity)
+        except ValueError:
             print(
                 f"error: no commodity with index {args.commodity}"
                 f" (network declares {len(net.commodities)})",
                 file=sys.stderr,
             )
             return 2
-        return _cmd_maxflow(net, args.commodity, structured)
+        return _cmd_maxflow(net, com, structured)
     if args.command == "tables":
         return _cmd_tables(net, structured)
     if args.command == "solve":
@@ -398,4 +412,13 @@ def run(argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run(sys.argv[1:] if argv is None else argv)
+    try:
+        code = run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # The reader left early.  Point stdout at devnull so the flush at
+        # interpreter exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 2
+    return code

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .maxflow import ACTIVE, ColoredPath, Cut
+from .maxflow import ColoredPath, Cut
 from .netmodel import Network
-from .tables import FlowTables, ship_position
+from .tables import ACTIVE, FlowTables, ship_position
 
 __all__ = [
     "Assignment",
@@ -51,12 +51,14 @@ def greedy_solve(tables: FlowTables) -> Assignment:
     Requires freshly built tables (every path active).  Feasible by
     construction: each shipment moves exactly the path's current residual
     bottleneck.  The next path comes off a heap keyed by (color count,
-    commodity, ordinal, position).  A path whose count changes is pushed
-    again; counts only ever fall, so its fresher, smaller key pops first
-    and ships or discards the path.  Every entry popped for a still active
-    path therefore carries its current count, and the rest are skipped.
+    position); positions run in (commodity, ordinal) order, which breaks
+    the ties.  A path whose count changes is pushed again; counts only
+    ever fall, so its fresher, smaller key pops first and ships or
+    discards the path.  Every entry popped for a still active path
+    therefore carries its current count, and the rest are skipped.
     """
-    if any(path.status != ACTIVE for path in tables.paths):
+    status = tables.path_status
+    if any(s != ACTIVE for s in status):
         raise ValueError("greedy_solve requires freshly built tables")
     paths = tables.paths
     counts = tables.path_color_count
@@ -64,19 +66,16 @@ def greedy_solve(tables: FlowTables) -> Assignment:
     discarded: list[ColoredPath] = []
     edge_flow: dict[tuple[int, int], int] = {}
     per_commodity = {com.index: 0 for com in tables.network.commodities}
-    heap = [
-        (counts[position], path.commodity, path.ordinal, position)
-        for position, path in enumerate(paths)
-    ]
+    heap = [(count, position) for position, count in enumerate(counts)]
     heapq.heapify(heap)
     while heap:
-        count, _, _, position = heapq.heappop(heap)
-        choice = paths[position]
-        if choice.status != ACTIVE:
+        count, position = heapq.heappop(heap)
+        if status[position] != ACTIVE:
             continue
         assert count == counts[position], "stale heap entry for an active path"
         amount = tables.path_bottleneck[position]
         dropped, recounted = ship_position(tables, position, amount)
+        choice = paths[position]
         shipments.append((choice, amount))
         per_commodity[choice.commodity] += amount
         for eid in choice.edges:
@@ -84,9 +83,8 @@ def greedy_solve(tables: FlowTables) -> Assignment:
             edge_flow[key] = edge_flow.get(key, 0) + amount
         discarded.extend(paths[p] for p in dropped)
         for p in recounted:
-            path = paths[p]
-            if path.status == ACTIVE:
-                heapq.heappush(heap, (counts[p], path.commodity, path.ordinal, p))
+            if status[p] == ACTIVE:
+                heapq.heappush(heap, (counts[p], p))
     total = sum(amount for _, amount in shipments)
     return Assignment(shipments, discarded, edge_flow, per_commodity, total)
 

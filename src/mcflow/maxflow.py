@@ -36,54 +36,32 @@ from typing import Sequence
 from .netmodel import Edge, Network
 
 __all__ = [
-    "ACTIVE",
-    "Color",
     "ColoredPath",
     "Cut",
-    "DISCARDED",
     "FlowState",
-    "USED",
     "decompose_cut_paths",
     "max_flow",
 ]
 
-ACTIVE = "active"
-USED = "used"
-DISCARDED = "discarded"
-
 
 @dataclass(frozen=True)
-class Color:
-    """Label owned by exactly one decomposed path."""
-
-    id: int
-    commodity: int
-    ordinal: int
-    name: str
-
-
-@dataclass
 class ColoredPath:
-    """One decomposed source-sink path.
+    """One decomposed source-sink path, the `ordinal`-th of its commodity.
 
-    `bottleneck` is the amount the decomposition assigned to the path;
-    the live residual bottleneck is tracked separately by the tables.
+    `bottleneck` is the amount the decomposition assigned to the path.
+    Its status and live residual bottleneck are columns of the tables,
+    indexed by the path's position there, and that position names its
+    color.
     """
 
     commodity: int
     ordinal: int
     edges: tuple[int, ...]
     bottleneck: int
-    color: Color | None = None
-    status: str = ACTIVE
 
     @property
     def label(self) -> str:
         return f"P{self.commodity}.{self.ordinal}"
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.commodity, self.ordinal)
 
 
 @dataclass(frozen=True)
@@ -306,7 +284,7 @@ def _cancel_flow_cycles(positive: list[list[tuple[int, int]]], flows: list[int])
 
 
 def decompose_cut_paths(net: Network, f: FlowState) -> list[ColoredPath]:
-    """Peel a max flow into simple source-sink paths (colors unassigned).
+    """Peel a max flow into simple source-sink paths.
 
     Deterministic: flow cycles are cancelled first, then the walk following
     the lowest-id positive-flow edge out of each node is peeled by its

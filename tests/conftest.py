@@ -1,10 +1,35 @@
 import pathlib
+import signal
 
 import pytest
 
 from mcflow import parse_network
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+# Wall-clock limits per test, in seconds.  A test that hangs (a max flow
+# that never ends, say) fails with TimeoutError instead of stalling the
+# suite.  Tests marked `slow` (the oracle sweep, about 110 s) get the
+# larger limit; every other test runs in a few seconds.
+TIME_LIMIT_S = 60
+SLOW_TIME_LIMIT_S = 900
+
+
+@pytest.fixture(autouse=True)
+def time_limit(request):
+    slow = request.node.get_closest_marker("slow") is not None
+    limit = SLOW_TIME_LIMIT_S if slow else TIME_LIMIT_S
+
+    def expire(signum, frame):
+        raise TimeoutError(f"test ran past its {limit} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(limit)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mcflow.cli
-from helpers import random_network
+from helpers import random_network, regular_network
 from mcflow import (
     Commodity,
     Edge,
@@ -457,6 +457,16 @@ class TestExitCodesAndInput:
             run(["frobnicate", GOLDEN])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["oracle", "gap"])
+    @pytest.mark.parametrize("option", ["--max-paths", "--max-candidates"])
+    def test_negative_budget_is_usage_error(self, capsys, command, option):
+        with pytest.raises(SystemExit) as exc:
+            run([command, GOLDEN, option, "-5"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{option}: must not be negative: -5" in captured.err
+
     def test_stdin_dash(self, capsys, monkeypatch, golden_text):
         monkeypatch.setattr(sys, "stdin", io.StringIO(golden_text))
         code, out, _ = invoke(capsys, ["solve", "-", "--format", "structured"])
@@ -485,6 +495,27 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert proc.stdout == "ok\n"
+
+    def test_reader_closing_early_exits_cleanly(self, capsys, tmp_path):
+        # `mcflow tables big.net | head -1`: the report is larger than a
+        # pipe buffer, so mcflow is still writing when the reader leaves.
+        target = tmp_path / "big.net"
+        net = regular_network(random.Random(1), 600, 4, 16)
+        target.write_text(render_network(net), encoding="utf-8")
+        code, out, _ = invoke(capsys, ["tables", str(target)])
+        assert code == 0 and len(out) > 2 * 65536
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mcflow", "tables", str(target)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) in (0, 1, 2, 3)
+        assert first == b"EDGE COLORS\n"
+        assert b"Traceback" not in err
 
     def test_console_script(self):
         script = shutil.which("mcflow")

@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import direct_inclusion_exclusion, networks, random_network
+from helpers import (
+    audit_tables,
+    direct_inclusion_exclusion,
+    full_scan_greedy,
+    networks,
+    random_network,
+)
 from mcflow import (
-    ACTIVE,
-    DISCARDED,
     Assignment,
     Cut,
     Edge,
-    apply_shipment,
-    audit_tables,
     build_tables,
     greedy_solve,
     inclusion_exclusion_bound,
@@ -22,34 +24,6 @@ from mcflow import (
     upper_bounds,
     validate_assignment,
 )
-
-
-def full_scan_greedy(tables, after_step=None):
-    """Reference selection rule: the minimum over every active path by
-    (color count, commodity, ordinal), shipped through apply_shipment, with
-    the discards of each step collected by a scan of all paths."""
-    shipments, discarded, edge_flow = [], [], {}
-    recorded = set()
-    while True:
-        active = [p for p in tables.paths if p.status == ACTIVE]
-        if not active:
-            break
-        choice = min(
-            active,
-            key=lambda p: (tables.path_color_count[tables.index_of(p)], p.commodity, p.ordinal),
-        )
-        amount = tables.path_bottleneck[tables.index_of(choice)]
-        apply_shipment(tables, choice, amount)
-        shipments.append((choice.key, amount))
-        for eid in choice.edges:
-            edge_flow[(choice.commodity, eid)] = edge_flow.get((choice.commodity, eid), 0) + amount
-        for path in tables.paths:
-            if path.status == DISCARDED and path.key not in recorded:
-                recorded.add(path.key)
-                discarded.append(path.key)
-        if after_step is not None:
-            after_step(tables)
-    return shipments, discarded, edge_flow
 
 
 class TestGreedySolve:
@@ -94,10 +68,8 @@ class TestGreedySolve:
         assert a.per_commodity_value == {1: 0}
 
     def test_requires_fresh_tables(self, golden_text):
-        from mcflow import apply_shipment
-
         t = build_tables(parse_network(golden_text))
-        apply_shipment(t, t.paths[0], 5)
+        greedy_solve(t)
         with pytest.raises(ValueError, match="freshly built"):
             greedy_solve(t)
 
@@ -153,8 +125,9 @@ class TestGreedyMatchesFullScan:
             want = full_scan_greedy(build_tables(net), after_step=audit)
             tables = build_tables(net)
             got = greedy_solve(tables)
-            assert [(p.key, amount) for p, amount in got.shipments] == want[0]
-            assert [p.key for p in got.discarded] == want[1]
+            paths = tables.paths
+            assert got.shipments == [(paths[p], amount) for p, amount in want[0]]
+            assert got.discarded == [paths[p] for p in want[1]]
             assert got.edge_flow == want[2]
             assert audit_tables(tables) == []
         assert steps > 300
@@ -163,9 +136,12 @@ class TestGreedyMatchesFullScan:
     def test_golden_matches_full_scan(self, golden_text):
         net = parse_network(golden_text)
         shipments, discarded, edge_flow = full_scan_greedy(build_tables(net))
-        got = greedy_solve(build_tables(net))
-        assert [(p.key, amount) for p, amount in got.shipments] == shipments
-        assert [p.key for p in got.discarded] == discarded
+        assert shipments == [(0, 5), (2, 10), (3, 10)]
+        assert discarded == [1]
+        tables = build_tables(net)
+        got = greedy_solve(tables)
+        assert got.shipments == [(tables.paths[p], amount) for p, amount in shipments]
+        assert got.discarded == [tables.paths[p] for p in discarded]
         assert got.edge_flow == edge_flow
 
 

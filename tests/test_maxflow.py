@@ -282,9 +282,10 @@ class TestDecomposeCutPaths:
             ("P2.2", (6, 3, 7), 10),
         ]
 
-    def test_colors_start_unassigned(self, golden_net):
-        f = max_flow(golden_net, "s1", "t1", commodity=1)
-        assert all(p.color is None and p.status == "active" for p in decompose_cut_paths(golden_net, f))
+    def test_paths_are_frozen(self, golden_net):
+        path = decompose_cut_paths(golden_net, max_flow(golden_net, "s1", "t1", commodity=1))[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            path.bottleneck = 0
 
     def test_rejects_non_maximal_flow(self, single_edge_text):
         net = parse_network(single_edge_text)

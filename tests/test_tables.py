@@ -5,17 +5,17 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from helpers import networks, random_network
+from helpers import audit_tables, networks, random_network
 from mcflow import (
     ACTIVE,
     DISCARDED,
     USED,
-    ColoredPath,
-    apply_shipment,
-    audit_tables,
+    COLOR_NAMES,
     build_tables,
+    color_name,
     parse_network,
 )
+from mcflow.tables import ship_position
 
 
 def fresh_golden(golden_text):
@@ -25,7 +25,7 @@ def fresh_golden(golden_text):
 class TestBuildTables:
     def test_golden_paths_and_colors(self, golden_text):
         t = fresh_golden(golden_text)
-        assert [(p.label, p.edges, p.color.name) for p in t.paths] == [
+        assert [(p.label, p.edges, color_name(i)) for i, p in enumerate(t.paths)] == [
             ("P1.1", (0,), "Violet"),
             ("P1.2", (1, 2, 3), "Red"),
             ("P2.1", (4, 1, 5), "Green"),
@@ -34,8 +34,8 @@ class TestBuildTables:
 
     def test_golden_edge_colors(self, golden_text):
         t = fresh_golden(golden_text)
-        name_of = {p.color.id: p.color.name for p in t.paths}
-        named = [sorted(name_of[c] for c in cell) for cell in t.edge_colors]
+        assert t.edge_colors == [{0}, {1, 2}, {1}, {1, 3}, {2}, {2}, {3}, {3}]
+        named = [sorted(color_name(p) for p in cell) for cell in t.edge_colors]
         assert named == [
             ["Violet"],
             ["Green", "Red"],
@@ -104,14 +104,15 @@ class TestBuildTables:
 
     def test_golden_indexes(self, golden_text):
         t = fresh_golden(golden_text)
-        assert t.path_position == {(1, 1): 0, (1, 2): 1, (2, 1): 2, (2, 2): 3}
+        assert [(p.commodity, p.ordinal) for p in t.paths] == [(1, 1), (1, 2), (2, 1), (2, 2)]
         assert t.edge_paths == [[0], [1, 2], [1], [1, 3], [2], [2], [3], [3]]
-        assert [t.index_of(p) for p in t.paths] == [0, 1, 2, 3]
+        assert t.path_status == [ACTIVE] * 4
 
     def test_color_ids_are_dense_and_distinct(self, golden_text):
         t = fresh_golden(golden_text)
-        assert [p.color.id for p in t.paths] == list(range(1, 5))
-        assert len({p.color.name for p in t.paths}) == 4
+        assert set().union(*t.edge_colors) == set(range(4))
+        assert len({color_name(p) for p in range(4)}) == 4
+        assert color_name(len(COLOR_NAMES)) == f"Color{len(COLOR_NAMES) + 1}"
 
     def test_sum_of_path_amounts_matches_commodity_value(self, golden_text):
         t = fresh_golden(golden_text)
@@ -123,83 +124,93 @@ class TestBuildTables:
 class TestColorCount:
     def test_golden_lookup(self, golden_text):
         t = fresh_golden(golden_text)
-        assert [t.path_color_count[t.index_of(p)] for p in t.paths] == [1, 3, 2, 2]
+        names = [
+            {color_name(c) for eid in p.edges for c in t.edge_colors[eid]} for p in t.paths
+        ]
+        assert names == [
+            {"Violet"},
+            {"Red", "Green", "Yellow"},
+            {"Red", "Green"},
+            {"Red", "Yellow"},
+        ]
+        assert t.path_color_count == [len(n) for n in names]
 
     def test_unknown_path_rejected(self, golden_text):
         t = fresh_golden(golden_text)
-        stranger = ColoredPath(commodity=3, ordinal=1, edges=(0,), bottleneck=1)
-        with pytest.raises(ValueError, match="not in tables"):
-            t.index_of(stranger)
+        with pytest.raises(IndexError):
+            ship_position(t, len(t.paths), 1)
 
 
 class TestApplyShipment:
+    """Shipments through ship_position, the tables' only mutation."""
+
     def test_ship_direct_path_no_discards(self, golden_text):
         t = fresh_golden(golden_text)
-        apply_shipment(t, t.paths[0], 5)
+        assert ship_position(t, 0, 5) == ([], [])
         assert t.edge_residual[0] == 0
-        assert t.paths[0].status == USED
-        assert [p.status for p in t.paths[1:]] == [ACTIVE] * 3
+        assert t.path_status == [USED, ACTIVE, ACTIVE, ACTIVE]
         # the direct edge carried no other color, so nothing else changed
         assert t.path_color_count == [1, 3, 2, 2]
         assert audit_tables(t) == []
 
     def test_shipment_cascade_discards_and_strips_colors(self, golden_text):
         t = fresh_golden(golden_text)
-        apply_shipment(t, t.paths[0], 5)
-        apply_shipment(t, t.paths[2], 10)
-        # edges 4, 1, 5 drained; P1.2 rides edge 1 and dies with it
+        ship_position(t, 0, 5)
+        # edges 4, 1, 5 drained; P1.2 rides edge 1 and dies with it, and
+        # every path on its edges, itself included, sees one color fewer
+        assert ship_position(t, 2, 10) == ([1], [1, 2, 3])
         assert [t.edge_residual[i] for i in (4, 1, 5)] == [0, 0, 0]
-        assert t.paths[1].status == DISCARDED
-        assert t.paths[3].status == ACTIVE
+        assert t.path_status[1] == DISCARDED
+        assert t.path_status[3] == ACTIVE
         # Red leaves every edge it colored; Yellow now alone on edge 3
-        red = t.paths[1].color.id
-        assert all(red not in cell for cell in t.edge_colors)
+        assert color_name(1) == "Red"
+        assert all(1 not in cell for cell in t.edge_colors)
         assert t.path_color_count[3] == 1
         assert audit_tables(t) == []
 
     def test_used_path_keeps_its_colors_on_edges(self, golden_text):
         t = fresh_golden(golden_text)
-        apply_shipment(t, t.paths[0], 5)
-        assert t.paths[0].color.id in t.edge_colors[0]
+        ship_position(t, 0, 5)
+        assert t.edge_colors[0] == {0}
 
     def test_full_golden_sequence_leaves_no_active_paths(self, golden_text):
         t = fresh_golden(golden_text)
-        apply_shipment(t, t.paths[0], 5)
-        apply_shipment(t, t.paths[2], 10)
-        apply_shipment(t, t.paths[3], 10)
-        assert [p.status for p in t.paths] == [USED, DISCARDED, USED, USED]
-        assert not any(p.status == ACTIVE for p in t.paths)
+        ship_position(t, 0, 5)
+        ship_position(t, 2, 10)
+        ship_position(t, 3, 10)
+        assert t.path_status == [USED, DISCARDED, USED, USED]
+        assert ACTIVE not in t.path_status
         assert audit_tables(t) == []
 
     def test_wrong_amount_rejected(self, golden_text):
         t = fresh_golden(golden_text)
         with pytest.raises(ValueError, match="bottleneck"):
-            apply_shipment(t, t.paths[0], 4)
+            ship_position(t, 0, 4)
 
     def test_zero_amount_rejected(self, golden_text):
         t = fresh_golden(golden_text)
         with pytest.raises(ValueError, match="bottleneck"):
-            apply_shipment(t, t.paths[0], 0)
+            ship_position(t, 0, 0)
 
     def test_reshipping_rejected(self, golden_text):
         t = fresh_golden(golden_text)
-        apply_shipment(t, t.paths[0], 5)
+        ship_position(t, 0, 5)
         with pytest.raises(ValueError, match="not active"):
-            apply_shipment(t, t.paths[0], 5)
+            ship_position(t, 0, 5)
 
     def test_shipping_discarded_path_rejected(self, golden_text):
         t = fresh_golden(golden_text)
-        apply_shipment(t, t.paths[0], 5)
-        apply_shipment(t, t.paths[2], 10)
+        ship_position(t, 0, 5)
+        ship_position(t, 2, 10)
         with pytest.raises(ValueError, match="not active"):
-            apply_shipment(t, t.paths[1], t.path_bottleneck[1])
+            ship_position(t, 1, t.path_bottleneck[1])
 
     def test_used_path_columns_stay_current(self, golden_text):
         # Shipping P2.2 drains edge 3 and discards P1.2: the used and the
         # discarded path's columns are refreshed too, not only active ones.
         t = fresh_golden(golden_text)
-        apply_shipment(t, t.paths[3], 10)
-        assert t.paths[1].status == DISCARDED
+        ship_position(t, 3, 10)
+        assert t.path_status[1] == DISCARDED
         assert t.path_bottleneck == [5, 0, 10, 0]
         assert t.path_color_count == [1, 2, 1, 1]
         assert audit_tables(t) == []
@@ -218,11 +229,11 @@ class TestApplyShipment:
             ((0, 2), 2),
         ]
         assert t.path_bottleneck == [3, 4]
-        apply_shipment(t, t.paths[1], 4)
+        ship_position(t, 1, 4)
         assert t.edge_residual == [1, 3, 0]
-        assert t.paths[0].status == ACTIVE
+        assert t.path_status[0] == ACTIVE
         assert t.path_bottleneck[0] == 1
-        apply_shipment(t, t.paths[0], 1)
+        ship_position(t, 0, 1)
         assert audit_tables(t) == []
 
 
@@ -234,18 +245,13 @@ class TestAuditTables:
 
     def test_detects_color_set_tampering(self, golden_text):
         t = fresh_golden(golden_text)
-        t.edge_colors[7].add(t.paths[0].color.id)
+        t.edge_colors[7].add(0)
         assert audit_tables(t) != []
 
     def test_detects_stale_bottleneck_column(self, golden_text):
         t = fresh_golden(golden_text)
         t.path_bottleneck[2] = 1
         assert any("bottleneck" in line for line in audit_tables(t))
-
-    def test_detects_reused_color(self, golden_text):
-        t = fresh_golden(golden_text)
-        t.paths[1].color = t.paths[0].color
-        assert any("reused" in line for line in audit_tables(t))
 
     def test_seeded_random_shipment_sequences_stay_clean(self):
         rng = random.Random(707)
@@ -254,11 +260,11 @@ class TestAuditTables:
             t = build_tables(net)
             assert audit_tables(t) == []
             while True:
-                active = [p for p in t.paths if p.status == ACTIVE]
+                active = [p for p, status in enumerate(t.path_status) if status == ACTIVE]
                 if not active:
                     break
                 p = rng.choice(active)
-                apply_shipment(t, p, t.path_bottleneck[t.index_of(p)])
+                ship_position(t, p, t.path_bottleneck[p])
                 assert audit_tables(t) == []
 
     @settings(max_examples=40)
@@ -266,5 +272,4 @@ class TestAuditTables:
     def test_built_tables_always_audit_clean(self, net):
         t = build_tables(net)
         assert audit_tables(t) == []
-        for p in t.paths:
-            assert p.status == ACTIVE and p.color is not None
+        assert t.path_status == [ACTIVE] * len(t.paths)
