@@ -167,9 +167,9 @@ def _cmd_tables(net: Network, structured: bool) -> int:
         records += [
             ("edge_residual", e.id, tables.edge_residual[e.id]) for e in net.edges
         ]
-        for position, path in enumerate(tables.paths):
-            for eid, cap in tables.path_record[position]:
-                records.append(("path_edge", path.label, eid, cap))
+        for path in tables.paths:
+            for eid in path.edges:
+                records.append(("path_edge", path.label, eid, net.edges[eid].capacity))
         for position, path in enumerate(tables.paths):
             records.append(("path_bottleneck", path.label, tables.path_bottleneck[position]))
         for position, path in enumerate(tables.paths):
@@ -198,10 +198,8 @@ def _cmd_tables(net: Network, structured: bool) -> int:
             print(f"  {edge_label[e.id]:<{width}} | {tables.edge_residual[e.id]}")
         print("PATH RECORD")
         for position, path in enumerate(tables.paths):
-            entry = " ".join(
-                f"{net.edges[eid].tail}->{net.edges[eid].head}({cap})"
-                for eid, cap in tables.path_record[position]
-            )
+            edges = (net.edges[eid] for eid in path.edges)
+            entry = " ".join(f"{e.tail}->{e.head}({e.capacity})" for e in edges)
             print(f"  {path.label} [{tables.path_status[position]}] | {entry}")
         print("PATH BOTTLENECK")
         for position, path in enumerate(tables.paths):
@@ -295,26 +293,16 @@ def _cmd_bound(net: Network, structured: bool) -> int:
     return 0
 
 
-def _oracle_labels(paths) -> list[tuple[int, int]]:
-    ordinals: dict[int, int] = {}
-    labels = []
-    for path in paths:
-        ordinals[path.commodity] = ordinals.get(path.commodity, 0) + 1
-        labels.append((path.commodity, ordinals[path.commodity]))
-    return labels
-
-
 def _cmd_oracle(net: Network, max_paths: int, max_candidates: int, structured: bool) -> int:
     result = optimal_value(net, max_paths=max_paths, max_candidates=max_candidates)
-    labels = _oracle_labels(result.paths)
     if structured:
         records: list[tuple] = [
-            ("path", com, k, path.bottleneck, render_path(net, path.edges))
-            for (com, k), path in zip(labels, result.paths)
+            ("path", p.commodity, p.ordinal, p.bottleneck, render_path(net, p.edges))
+            for p in result.paths
         ]
         records += [
-            ("witness", com, k, amount)
-            for (com, k), amount in zip(labels, result.witness)
+            ("witness", p.commodity, p.ordinal, amount)
+            for p, amount in zip(result.paths, result.witness)
         ]
         records.append(("optimum", result.optimum))
         records.append(("explored", result.explored))
@@ -323,9 +311,10 @@ def _cmd_oracle(net: Network, max_paths: int, max_candidates: int, structured: b
     else:
         if result.paths:
             print("paths:")
-            for (com, k), path, amount in zip(labels, result.paths, result.witness):
+            for path, amount in zip(result.paths, result.witness):
                 print(
-                    f"  commodity {com} #{k}: {render_path(net, path.edges)}"
+                    f"  commodity {path.commodity} #{path.ordinal}:"
+                    f" {render_path(net, path.edges)}"
                     f" carries {amount} (max {path.bottleneck})"
                 )
         print(f"optimum: {result.optimum}")

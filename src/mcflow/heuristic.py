@@ -113,10 +113,7 @@ def inclusion_exclusion_bound(cuts: Sequence[Cut]) -> BoundReport:
     for cut in cuts:
         for edge in cut.cut_edges:
             capacity[edge.id] = edge.capacity
-    individual = {
-        position + 1: sum(capacity[eid] for eid in edge_sets[position])
-        for position in range(len(cuts))
-    }
+    individual = {position + 1: cut.capacity for position, cut in enumerate(cuts)}
     terms: dict[tuple[int, ...], int] = {}
     bound = 0
     for size in range(1, len(cuts) + 1):

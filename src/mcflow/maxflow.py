@@ -17,19 +17,22 @@ first arc one step nearer, one path at a time, until no such walk
 reaches the sink.  Augmenting only adds arcs that lead away from the
 sink, so the labels stay exact for the whole phase.  The same input
 therefore always gives the same paths, flows and min cut.  Once the sink
-is out of reach, one forward search (_residual_search) visits exactly the
+is out of reach, one forward search (_residual_search) labels exactly the
 canonical source side: the min cut returned is that node set together
 with the edges leaving it.
 
 decompose_cut_paths checks maximality with the same search, then works on
 per-node lists of the edges carrying flow, built once per call: it cancels
 any flow cycles and peels simple source-sink paths, lowest edge id first.
-Every peeled path crosses the min cut exactly once.
+Every max flow leaves the same nodes residually reachable, so each peeled
+path crosses the cut that search labels, the canonical min cut, exactly
+once; the flow's own `min_cut` is never read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import sub
 from typing import Sequence
 
@@ -46,10 +49,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ColoredPath:
-    """One decomposed source-sink path, the `ordinal`-th of its commodity.
+    """A source-sink path, the `ordinal`-th of its commodity.
 
-    `bottleneck` is the amount the decomposition assigned to the path.
-    Its status and live residual bottleneck are columns of the tables,
+    `bottleneck` is the amount the decomposition assigned to the path, or,
+    for the oracle's enumerated paths, its smallest capacity.  A decomposed
+    path's status and live residual bottleneck are columns of the tables,
     indexed by the path's position there, and that position names its
     color.
     """
@@ -87,7 +91,7 @@ class FlowState:
 
 def _check_endpoints(net: Network, s: str, t: str) -> None:
     for v in (s, t):
-        if v not in net.node_set:
+        if v not in net.arcs.index:
             raise ValueError(f"node {v!r} not in network")
     if s == t:
         raise ValueError("source equals sink")
@@ -95,13 +99,13 @@ def _check_endpoints(net: Network, s: str, t: str) -> None:
 
 def _residual_search(
     out: Sequence[Sequence[tuple[int, int]]], res: Sequence[int], s: int, t: int
-) -> list[int] | None:
+) -> list[bool] | None:
     """Breadth-first search from s over the arcs with positive residual
     capacity `res`; `out` is `Network.arcs.out`.
 
-    Returns None as soon as t is labeled.  Otherwise returns the labeled
-    nodes in visit order: exactly those residually reachable from s, the
-    source side of the canonical min cut.
+    Returns None as soon as t is labeled.  Otherwise returns the labels,
+    one flag per node, set exactly for the nodes residually reachable from
+    s: the source side of the canonical min cut.
     """
     seen = [False] * len(out)
     seen[s] = True
@@ -113,13 +117,10 @@ def _residual_search(
                     return None
                 seen[w] = True
                 queue.append(w)
-    return queue
+    return seen
 
 
-def _source_cut(net: Network, source_side: Sequence[int]) -> Cut:
-    inside = [False] * len(net.nodes)
-    for v in source_side:
-        inside[v] = True
+def _source_cut(net: Network, inside: Sequence[bool]) -> Cut:
     tail = net.arcs.tail
     cut_edges = tuple(
         e
@@ -127,7 +128,7 @@ def _source_cut(net: Network, source_side: Sequence[int]) -> Cut:
         if inside[u] and not inside[w]
     )
     return Cut(
-        frozenset(net.nodes[v] for v in source_side),
+        frozenset(compress(net.nodes, inside)),
         cut_edges,
         sum(e.capacity for e in cut_edges),
     )
@@ -229,9 +230,9 @@ def max_flow(net: Network, s: str, t: str, commodity: int = 0) -> FlowState:
                 dist[u] = -1  # a dead end for the rest of the phase
                 path.pop()
                 nodes.pop()
-    reached = _residual_search(out, res, si, ti)
-    assert reached is not None, "the sink is still reachable after the last phase"
-    cut = _source_cut(net, reached)
+    inside = _residual_search(out, res, si, ti)
+    assert inside is not None, "the sink is still reachable after the last phase"
+    cut = _source_cut(net, inside)
     assert t not in cut.source_side
     assert value == cut.capacity, "flow value must equal the reachability cut capacity"
     return FlowState(commodity, s, t, tuple(res[1::2]), value, cut)
@@ -293,11 +294,9 @@ def decompose_cut_paths(net: Network, f: FlowState) -> list[ColoredPath]:
     _check_endpoints(net, f.source, f.sink)
     arcs = net.arcs
     s, t = arcs.index[f.source], arcs.index[f.sink]
-    reached = _residual_search(arcs.out, _residuals(net, f.edge_flow), s, t)
-    if reached is None:
+    inside = _residual_search(arcs.out, _residuals(net, f.edge_flow), s, t)
+    if inside is None:
         raise ValueError("flow is not maximal; decomposition requires a max flow")
-    cut = f.min_cut if f.min_cut is not None else _source_cut(net, reached)
-    cut_ids = {e.id for e in cut.cut_edges}
     flows = list(f.edge_flow)
     tail = arcs.tail
     positive: list[list[tuple[int, int]]] = [[] for _ in arcs.out]
@@ -333,9 +332,8 @@ def decompose_cut_paths(net: Network, f: FlowState) -> list[ColoredPath]:
             flows[eid] -= amount
         peeled += amount
         assert len(set(visited)) == len(visited), "peeled path is not simple"
-        assert sum(1 for eid in walk if eid in cut_ids) == 1, (
-            "path must cross the min cut exactly once"
-        )
+        crossed = sum(inside[tail[2 * e]] and not inside[tail[2 * e + 1]] for e in walk)
+        assert crossed == 1, "path must cross the min cut exactly once"
         paths.append(ColoredPath(f.commodity, len(paths) + 1, tuple(walk), amount))
     assert peeled == f.value, "decomposition amounts must sum to the flow value"
     return paths

@@ -90,10 +90,6 @@ class Network:
     commodities: tuple[Commodity, ...]
 
     @cached_property
-    def node_set(self) -> frozenset[str]:
-        return frozenset(self.nodes)
-
-    @cached_property
     def arcs(self) -> _Arcs:
         """The network as integer residual arcs, for max flow, decomposition
         and path enumeration.  Built on first use and shared by every
@@ -229,14 +225,13 @@ def _violations(net: Network) -> list[str]:
         violations.append("network has no edges")
     if not net.commodities:
         violations.append("network has no commodities")
-    node_set = net.node_set
     # Sound edges and commodities pass the plain comparisons first; only a
     # failing one is looked at again to word its messages.
     for position, edge in enumerate(net.edges):
         if (
             edge.id == position
-            and edge.tail in node_set
-            and edge.head in node_set
+            and edge.tail in seen
+            and edge.head in seen
             and type(edge.capacity) is int
             and edge.capacity >= 0
             and edge.tail != edge.head
@@ -246,7 +241,7 @@ def _violations(net: Network) -> list[str]:
         if edge.id != position:
             violations.append(f"{tag}: id not dense at position {position}")
         for endpoint in (edge.tail, edge.head):
-            if endpoint not in node_set:
+            if endpoint not in seen:
                 violations.append(f"{tag}: endpoint {endpoint!r} not declared")
         if isinstance(edge.capacity, bool) or not isinstance(edge.capacity, int):
             violations.append(f"{tag}: capacity {edge.capacity!r} is not an integer")
@@ -257,8 +252,8 @@ def _violations(net: Network) -> list[str]:
     for position, com in enumerate(net.commodities):
         if (
             com.index == position + 1
-            and com.source in node_set
-            and com.sink in node_set
+            and com.source in seen
+            and com.sink in seen
             and com.source != com.sink
         ):
             continue
@@ -266,7 +261,7 @@ def _violations(net: Network) -> list[str]:
         if com.index != position + 1:
             violations.append(f"{tag}: index not dense at position {position}")
         for endpoint in (com.source, com.sink):
-            if endpoint not in node_set:
+            if endpoint not in seen:
                 violations.append(f"{tag}: endpoint {endpoint!r} not declared")
         if com.source == com.sink:
             violations.append(f"{tag}: source equals sink")

@@ -1,8 +1,9 @@
 """Exact small-instance optimum over integral path flows, and the
 comparison report against the greedy heuristic.
 
-The search space is every simple source-sink path of every commodity, each
-carrying an integer amount bounded by the remaining capacity along it.
+The search space is every simple source-sink path of every commodity
+(enumerate_paths), each carrying an integer amount bounded by the remaining
+capacity along it, read from the network and never from a catalog path.
 One iterative branch and bound explores the amount vectors, and runs
 twice.  Each pass prunes a node whose bound cannot reach a target value.
 The descending pass tries high amounts first and raises its target past
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .heuristic import greedy_solve, upper_bounds
+from .maxflow import ColoredPath
 from .netmodel import Commodity, Network
 from .tables import build_tables
 
@@ -31,7 +33,6 @@ __all__ = [
     "GapReport",
     "OracleLimitError",
     "OracleResult",
-    "SimplePath",
     "enumerate_paths",
     "gap_report",
     "optimal_value",
@@ -46,15 +47,6 @@ class OracleLimitError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SimplePath:
-    """A simple source-sink path; bottleneck is its minimum capacity."""
-
-    commodity: int
-    edges: tuple[int, ...]
-    bottleneck: int
-
-
-@dataclass(frozen=True)
 class OracleResult:
     """Optimum with canonical witness; `paths` indexes the witness."""
 
@@ -62,21 +54,22 @@ class OracleResult:
     witness: tuple[int, ...]
     explored: int
     truncated: bool
-    paths: tuple[SimplePath, ...]
+    paths: tuple[ColoredPath, ...]
 
 
 def enumerate_paths(
     net: Network, commodity: Commodity, limit: int = DEFAULT_MAX_PATHS
-) -> list[SimplePath]:
+) -> list[ColoredPath]:
     """All simple source-sink paths of one commodity, depth first with
-    lower edge ids explored first.  Raises OracleLimitError past `limit`.
+    lower edge ids explored first, numbered from 1; each path's bottleneck
+    is its smallest capacity.  Raises OracleLimitError past `limit`.
 
     Iterative: one iterator over `Network.arcs` per node on the current
     trail, reading only the forward arcs, so path length is not bounded by
     the interpreter's recursion limit."""
     arcs = net.arcs
     sink = arcs.index[commodity.sink]
-    found: list[SimplePath] = []
+    found: list[ColoredPath] = []
     trail: list[int] = []  # trail[i] leads from nodes[i] into nodes[i + 1]
     nodes = [arcs.index[commodity.source]]
     on_trail = [False] * len(arcs.out)
@@ -94,8 +87,9 @@ def enumerate_paths(
         if head == sink:
             edges = (*trail, eid)
             found.append(
-                SimplePath(
+                ColoredPath(
                     commodity.index,
+                    len(found) + 1,
                     edges,
                     min(net.edges[e].capacity for e in edges),
                 )
@@ -116,7 +110,7 @@ def optimal_value(
     net: Network,
     max_paths: int = DEFAULT_MAX_PATHS,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
-    catalog: Sequence[SimplePath] | None = None,
+    catalog: Sequence[ColoredPath] | None = None,
 ) -> OracleResult:
     """Exact integral optimum over simple-path flows, within limits.
 
@@ -140,7 +134,7 @@ def optimal_value(
     # Static suffix bound from full capacities: cheap first-stage prune.
     static_suffix = [0] * (m + 1)
     for k in range(m - 1, -1, -1):
-        static_suffix[k] = static_suffix[k + 1] + paths[k].bottleneck
+        static_suffix[k] = static_suffix[k + 1] + min(residual[e] for e in paths[k].edges)
     amounts = [0] * m
     best_vector = [0] * m
     explored = 0

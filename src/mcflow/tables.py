@@ -3,11 +3,11 @@
 build_tables runs every commodity's max flow on the original network and
 decomposes each into paths, listed in commodity order.  A path's position
 in that list is its identity: it names the path's color (color_name) and
-indexes every per-path column.  The tables record:
+indexes every per-path column.  The path itself holds its edges; their
+capacities are read from the network.  The tables record:
 
     edge_colors       per edge: positions of the non-discarded paths using it
     edge_residual     per edge: capacity not yet claimed by shipments
-    path_record       per path: its edges with their original capacities
     path_bottleneck   per path: minimum residual along its edges (live)
     path_color_count  per path: distinct colors over its edges
     path_status       per path: ACTIVE, USED or DISCARDED
@@ -21,8 +21,7 @@ those edges change, so only paths sharing them are examined: active ones
 left with a zero-residual edge are discarded and their colors stripped
 from edge_colors, bottlenecks are recomputed for the paths sharing the
 shipped edges, and color counts for the paths sharing an edge with a
-newly discarded path.  Every other entry is already current.  path_record
-is written once and never rewritten.
+newly discarded path.  Every other entry is already current.
 """
 
 from __future__ import annotations
@@ -81,7 +80,6 @@ class FlowTables:
     paths: list[ColoredPath]
     edge_colors: list[set[int]]
     edge_residual: list[int]
-    path_record: list[tuple[tuple[int, int], ...]]
     path_bottleneck: list[int]
     path_color_count: list[int]
     path_status: list[str]
@@ -126,10 +124,6 @@ def build_tables(net: Network) -> FlowTables:
         paths=paths,
         edge_colors=[set(positions) for positions in edge_paths],
         edge_residual=[e.capacity for e in net.edges],
-        path_record=[
-            tuple((eid, net.edges[eid].capacity) for eid in path.edges)
-            for path in paths
-        ],
         path_bottleneck=[],
         path_color_count=[],
         path_status=[ACTIVE] * len(paths),

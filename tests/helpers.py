@@ -27,7 +27,6 @@ from mcflow import (
     Network,
     OracleLimitError,
     OracleResult,
-    SimplePath,
     FlowTables,
     enumerate_paths,
     path_nodes,
@@ -302,8 +301,9 @@ def reference_decompose_cut_paths(net: Network, f: FlowState) -> list[ColoredPat
     the lowest-id positive-flow edge out of each node is peeled by its
     bottleneck, repeatedly, until the source has no positive out-flow.
     """
+    nodes = set(net.nodes)
     for v in (f.source, f.sink):
-        if v not in net.node_set:
+        if v not in nodes:
             raise ValueError(f"node {v!r} not in network")
     if f.source == f.sink:
         raise ValueError("source equals sink")
@@ -413,7 +413,7 @@ def reference_optimal_value(
     net: Network,
     max_paths: int = DEFAULT_MAX_PATHS,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
-    catalog: Sequence[SimplePath] | None = None,
+    catalog: Sequence[ColoredPath] | None = None,
 ) -> OracleResult:
     """The recursive two-pass branch and bound that optimal_value replaced,
     kept unchanged as its reference: same visit order, prunes, budget and

@@ -282,6 +282,14 @@ class TestDecomposeCutPaths:
             ("P2.2", (6, 3, 7), 10),
         ]
 
+    def test_ignores_the_cut_the_flow_carries(self, golden_net):
+        # The crossing check uses the decomposition's own residual search,
+        # so another commodity's cut in `min_cut` changes nothing.
+        f1 = max_flow(golden_net, "s1", "t1", commodity=1)
+        f2 = max_flow(golden_net, "s2", "t2", commodity=2)
+        foreign = dataclasses.replace(f1, min_cut=f2.min_cut)
+        assert decompose_cut_paths(golden_net, foreign) == decompose_cut_paths(golden_net, f1)
+
     def test_paths_are_frozen(self, golden_net):
         path = decompose_cut_paths(golden_net, max_flow(golden_net, "s1", "t1", commodity=1))[0]
         with pytest.raises(dataclasses.FrozenInstanceError):

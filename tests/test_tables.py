@@ -51,15 +51,6 @@ class TestBuildTables:
         t = fresh_golden(golden_text)
         assert t.edge_residual == [e.capacity for e in t.network.edges]
 
-    def test_golden_path_record_holds_original_capacities(self, golden_text):
-        t = fresh_golden(golden_text)
-        assert t.path_record == [
-            ((0, 5),),
-            ((1, 10), (2, 10), (3, 10)),
-            ((4, 10), (1, 10), (5, 10)),
-            ((6, 10), (3, 10), (7, 10)),
-        ]
-
     def test_golden_bottlenecks_and_color_counts(self, golden_text):
         t = fresh_golden(golden_text)
         assert t.path_bottleneck == [5, 10, 10, 10]
