@@ -16,6 +16,7 @@ readable and byte-for-byte reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -89,6 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="overlay the greedy flow on the edge labels",
     )
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use rather than at import."""
+    return build_parser()
 
 
 def _read_input(source: str) -> str:
@@ -355,7 +362,7 @@ def _cmd_export(net: Network, with_assignment: bool) -> int:
 
 def run(argv: list[str]) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         text = _read_input(args.input)
     except (OSError, UnicodeDecodeError) as exc:

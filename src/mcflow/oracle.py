@@ -15,6 +15,12 @@ iterator per path on the current prefix, so the catalog size is not bounded
 by the interpreter's recursion limit.  Both passes share one node budget;
 exhausting it (or the per-commodity path limit) flags the result truncated
 rather than guessing.
+
+gap_report certifies before it searches.  The capacity of the union of the
+commodities' cut edges caps every feasible flow, so a feasible value that
+reaches it is optimal.  When the greedy total reaches the cap, gap_report
+reports it as exact without running the oracle; when a truncated search's
+best lower bound reaches it, the report is exact too.
 """
 
 from __future__ import annotations
@@ -214,23 +220,34 @@ def gap_report(
     """Run tables + greedy + bounds + oracle on one network.
 
     `gap` is optimum minus heuristic value; it is only meaningful when
-    `truncated` is False.  A truncated search (or an overflowing path
+    `truncated` is False.  The greedy total is feasible, and the capacity
+    of the union of the cut edges caps every feasible flow, since each
+    commodity's flow crosses its own cut.  A value that is feasible and
+    reaches that cap is therefore optimal: when the greedy total does, it
+    is reported as the exact optimum and the oracle is not run.  Otherwise
+    the oracle searches.  A truncated search (or an overflowing path
     catalog, where the oracle reports 0) only yields a lower bound, and the
     feasible greedy total is one too, so the larger of the two is reported
-    and the gap is never negative.
+    and the gap is never negative; if that value reaches the cap, it is
+    exact after all and the report is not truncated.
     """
     tables = build_tables(net)
     bounds = upper_bounds(net, tables)
     assignment = greedy_solve(tables)
-    result = optimal_value(net, max_paths=max_paths, max_candidates=max_candidates)
-    optimum = result.optimum
-    if result.truncated:
-        optimum = max(optimum, assignment.total_value)
+    optimum = assignment.total_value
+    truncated = False
+    if optimum < bounds.inclusion_exclusion:
+        result = optimal_value(net, max_paths=max_paths, max_candidates=max_candidates)
+        if result.truncated:
+            optimum = max(result.optimum, optimum)
+            truncated = optimum < bounds.inclusion_exclusion
+        else:
+            optimum = result.optimum
     return GapReport(
         assignment.total_value,
         optimum,
         bounds.individual_total,
         bounds.inclusion_exclusion,
         optimum - assignment.total_value,
-        result.truncated,
+        truncated,
     )

@@ -9,7 +9,7 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 # Wall-clock limits per test, in seconds.  A test that hangs (a max flow
 # that never ends, say) fails with TimeoutError instead of stalling the
-# suite.  Tests marked `slow` (the oracle sweep, about 110 s) get the
+# suite.  Tests marked `slow` (the oracle sweep, about 25 s) get the
 # larger limit; every other test runs in a few seconds.
 TIME_LIMIT_S = 60
 SLOW_TIME_LIMIT_S = 900

@@ -551,6 +551,34 @@ def exhaustive_best(net: Network, paths) -> int:
     return best
 
 
+def certified_cut_union_bound(net: Network, cut_edge_ids) -> int | None:
+    """The capacity of `cut_edge_ids` when it is an upper bound on every
+    joint flow, else None.
+
+    Dual lengths y = 1 on those edges and 0 elsewhere certify the bound
+    when every commodity's source-sink path has length >= 1, that is, when
+    deleting the edges leaves no sink reachable from its source.  Checked
+    by a plain breadth-first search over `net.edges`, independent of
+    `mcflow.maxflow`.
+    """
+    removed = set(cut_edge_ids)
+    out: dict[str, list[str]] = {v: [] for v in net.nodes}
+    for e in net.edges:
+        if e.id not in removed:
+            out[e.tail].append(e.head)
+    for com in net.commodities:
+        seen = {com.source}
+        queue = deque([com.source])
+        while queue:
+            for w in out[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        if com.sink in seen:
+            return None
+    return sum(e.capacity for e in net.edges if e.id in removed)
+
+
 def direct_inclusion_exclusion(edge_sets, capacities) -> int:
     """Alternating subset-sum evaluation over explicit edge-id sets."""
     total = 0

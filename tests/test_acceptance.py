@@ -8,8 +8,10 @@ Criteria:
   3. decompositions sum to the flow value and cross the min cut once
   4. greedy assignments are always feasible
   5. greedy never beats the exact optimum, which the bounds dominate;
-     the gap-zero fraction is recorded, counterexamples are archived in a
-     temporary directory, and the checked-in ones are found again
+     an optimum proved by the cut bound alone passes an independent
+     certificate; the gap-zero fraction is recorded, counterexamples are
+     archived in a temporary directory, and the checked-in ones are found
+     again
   6. the cut-intersection bound matches direct subset-sum evaluation
   7. every subcommand is byte-for-byte reproducible on every fixture
 """
@@ -23,7 +25,12 @@ from pathlib import Path
 
 import pytest
 
-from helpers import brute_force_min_cut, direct_inclusion_exclusion, random_network
+from helpers import (
+    brute_force_min_cut,
+    certified_cut_union_bound,
+    direct_inclusion_exclusion,
+    random_network,
+)
 from mcflow import (
     Cut,
     Edge,
@@ -132,6 +139,11 @@ def test_criterion_5_optimality_gap(tmp_path):
     archived = []
     for position, net in enumerate(_multicommodity_corpus()):
         report = gap_report(net, max_candidates=ORACLE_BUDGET)
+        if report.optimum == report.inclusion_exclusion:
+            # Exact by the cut bound alone: check that bound independently.
+            cuts = build_tables(net).cuts.values()
+            cut_union = {e.id for cut in cuts for e in cut.cut_edges}
+            assert certified_cut_union_bound(net, cut_union) == report.optimum
         if report.truncated:
             truncated += 1
             continue
@@ -145,6 +157,7 @@ def test_criterion_5_optimality_gap(tmp_path):
             target.write_text(render_network(net), encoding="utf-8")
             archived.append(target.name)
     assert usable > 0
+    assert truncated <= 11
     # The checked-in counterexamples are read-only fixtures: each must be
     # found again, byte for byte.
     for known in sorted(COUNTEREXAMPLES.glob("gap_*.net")):

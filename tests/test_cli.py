@@ -1,6 +1,7 @@
 """Command-line surface: output formats, exit codes, and reproducibility."""
 
 import io
+import os
 import random
 import shutil
 import subprocess
@@ -30,6 +31,14 @@ DISJOINT = str(DATA / "disjoint.net")
 SINGLE = str(DATA / "single_edge.net")
 BAD = str(DATA / "bad_negative.net")
 GOLDEN_BYTES = (DATA / "two_commodity.net").read_bytes()
+
+
+CRITERION_5_044 = (
+    "node v0\nnode v1\n"
+    "edge v1 v0 3\nedge v0 v1 3\nedge v1 v0 8\nedge v1 v0 0\n"
+    "edge v1 v0 4\nedge v0 v1 9\nedge v0 v1 7\nedge v0 v1 9\n"
+    "commodity v1 v0\ncommodity v0 v1\ncommodity v0 v1\n"
+)
 
 
 def invoke(capsys, argv):
@@ -345,6 +354,28 @@ class TestGap:
         assert int(records["optimum"]) >= int(records["heuristic"])
 
 
+    def test_greedy_at_cut_bound_is_exact_without_search(self, capsys, tmp_path):
+        # Criterion 5's instance #044: the oracle cannot finish within the
+        # criterion's budget, but greedy's 43 equals the cut-union bound,
+        # which proves it optimal.
+        target = tmp_path / "gap_044.net"
+        target.write_text(CRITERION_5_044, encoding="utf-8")
+        argv = ["gap", str(target), "--max-candidates", "300000", "--format", "structured"]
+        code, out, err = invoke(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out == (
+            "heuristic\t43\n"
+            "optimum\t43\n"
+            "individual_sum\t71\n"
+            "inclusion_exclusion\t43\n"
+            "gap\t0\n"
+            "truncated\tfalse\n"
+        )
+        code, out, _ = invoke(capsys, ["oracle", str(target), "--max-candidates", "300000"])
+        assert code == 3
+        assert "truncated: true" in out
+
+
 class TestDeepNetworks:
     @pytest.mark.parametrize("command", ["gap", "oracle"])
     def test_1200_node_chain(self, capsys, tmp_path, command):
@@ -485,6 +516,22 @@ class TestExitCodesAndInput:
         second = invoke(capsys, ["solve", GOLDEN, "--format", "structured"])
         assert first == second
 
+    def test_options_do_not_carry_over_between_runs(self, capsys):
+        code, out, _ = invoke(
+            capsys, ["oracle", GOLDEN, "--max-candidates", "1", "--format", "structured"]
+        )
+        assert code == 3
+        code, out, _ = invoke(capsys, ["oracle", GOLDEN, "--format", "structured"])
+        assert code == 0
+        records = dict(line.split("\t")[:2] for line in out.splitlines())
+        assert int(records["explored"]) > 1
+        assert records["truncated"] == "false"
+        code, _, _ = invoke(capsys, ["gap", GOLDEN, "--max-paths", "2"])
+        assert code == 3
+        code, out, _ = invoke(capsys, ["gap", GOLDEN])
+        assert code == 0
+        assert "truncated: false" in out
+
 
 class TestEntryPoints:
     def test_module_invocation(self):
@@ -516,6 +563,39 @@ class TestEntryPoints:
         assert proc.wait(timeout=60) in (0, 1, 2, 3)
         assert first == b"EDGE COLORS\n"
         assert b"Traceback" not in err
+
+    def test_parser_is_built_once_and_not_at_import(self):
+        # Count argparse parsers, the top-level one and its subcommands',
+        # made by a fresh process across an import and two runs.
+        script = (
+            "import argparse\n"
+            "built = 0\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    global built\n"
+            "    built += 1\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import mcflow.cli\n"
+            "counts = [built]\n"
+            f"for argv in (['validate', {GOLDEN!r}], ['gap', {GOLDEN!r}]):\n"
+            "    mcflow.cli.run(argv)\n"
+            "    counts.append(built)\n"
+            "print(*counts)\n"
+        )
+        src = str(Path(mcflow.cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        at_import, first_run, second_run = map(int, proc.stdout.split()[-3:])
+        assert at_import == 0
+        assert first_run > 0
+        assert second_run == first_run
 
     def test_console_script(self):
         script = shutil.which("mcflow")

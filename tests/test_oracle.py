@@ -7,7 +7,14 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from helpers import exhaustive_best, networks, random_network, reference_optimal_value
+import mcflow.oracle
+from helpers import (
+    certified_cut_union_bound,
+    exhaustive_best,
+    networks,
+    random_network,
+    reference_optimal_value,
+)
 from mcflow import (
     OracleLimitError,
     build_tables,
@@ -17,6 +24,7 @@ from mcflow import (
     max_flow,
     optimal_value,
     parse_network,
+    upper_bounds,
 )
 
 
@@ -272,6 +280,15 @@ class TestDecomposedCatalog:
         assert differing >= 100
 
 
+CRITERION_5_110 = (
+    "node v0\nnode v1\nnode v2\n"
+    "edge v2 v0 8\nedge v0 v2 6\nedge v1 v2 6\nedge v2 v0 9\nedge v1 v2 2\n"
+    "edge v2 v1 0\nedge v0 v2 9\nedge v2 v1 4\nedge v0 v2 7\nedge v0 v1 1\n"
+    "edge v1 v2 7\nedge v2 v1 6\nedge v0 v1 6\nedge v1 v2 9\n"
+    "commodity v0 v2\ncommodity v1 v0\ncommodity v2 v1\n"
+)
+
+
 class TestGapReport:
     def test_golden_report(self, golden_net):
         report = gap_report(golden_net)
@@ -298,6 +315,69 @@ class TestGapReport:
             assert report.heuristic_value <= report.optimum
             assert report.optimum <= report.inclusion_exclusion
             assert report.optimum <= report.individual_total
+
+    def test_cut_bound_short_circuit_matches_reference(self, monkeypatch):
+        # Greedy reaching the cut-union bound is reported as the optimum
+        # without a search; the full reference search must agree wherever
+        # it finishes, and the bound must pass the independent certificate.
+        searches = []
+
+        def counting(*args, **kwargs):
+            result = optimal_value(*args, **kwargs)
+            searches.append(result)
+            return result
+
+        monkeypatch.setattr(mcflow.oracle, "optimal_value", counting)
+        rng = random.Random(2024)
+        short_circuited = searched = finished = 0
+        for _ in range(300):
+            net = random_network(
+                rng, max_nodes=6, max_edges=10, max_cap=9, commodity_range=(2, 3)
+            )
+            tables = build_tables(net)
+            bound = upper_bounds(net, tables).inclusion_exclusion
+            greedy = greedy_solve(tables).total_value
+            before = len(searches)
+            report = gap_report(net)
+            assert not report.truncated
+            assert report.heuristic_value == greedy
+            assert report.inclusion_exclusion == bound
+            if greedy == bound:
+                short_circuited += 1
+                assert len(searches) == before
+                assert report.optimum == greedy and report.gap == 0
+                cut_union = {e.id for cut in tables.cuts.values() for e in cut.cut_edges}
+                assert certified_cut_union_bound(net, cut_union) == bound
+            else:
+                searched += 1
+                assert len(searches) == before + 1
+            reference = reference_optimal_value(net, max_candidates=20_000)
+            if not reference.truncated:
+                finished += 1
+                assert report.optimum == reference.optimum
+        assert short_circuited >= 100
+        assert searched >= 10
+        assert finished >= 250
+
+    def test_certificate_needs_every_commodity_separated(self, golden_net):
+        cuts = build_tables(golden_net).cuts
+        union = {e.id for cut in cuts.values() for e in cut.cut_edges}
+        assert certified_cut_union_bound(golden_net, union) == 35
+        for cut in cuts.values():
+            # One commodity's cut alone leaves the other commodity connected.
+            assert certified_cut_union_bound(golden_net, {e.id for e in cut.cut_edges}) is None
+        assert certified_cut_union_bound(golden_net, ()) is None
+
+    def test_truncated_search_reaching_the_bound_is_exact(self):
+        # Criterion 5's instance #110: greedy ships 52 of a cut-union bound
+        # of 56, and the search reaches 56 but cannot finish in its budget.
+        net = parse_network(CRITERION_5_110)
+        result = optimal_value(net, max_candidates=1000)
+        assert result.truncated and result.optimum == 56
+        report = gap_report(net, max_candidates=1000)
+        assert (report.heuristic_value, report.inclusion_exclusion) == (52, 56)
+        assert report.optimum == 56 and report.gap == 4
+        assert not report.truncated
 
     def test_truncation_is_reported(self, golden_net):
         assert gap_report(golden_net, max_candidates=1).truncated
