@@ -39,7 +39,7 @@ from .oracle import (
 )
 from .tables import build_tables, color_name
 
-__all__ = ["build_parser", "main", "run"]
+__all__ = ["main", "run"]
 
 
 def _budget(text: str) -> int:
@@ -53,7 +53,9 @@ def _budget(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use rather than at import."""
     parser = argparse.ArgumentParser(
         prog="mcflow",
         description="Multicommodity max-flow heuristic over capacitated networks.",
@@ -90,12 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="overlay the greedy flow on the edge labels",
     )
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser, built on first use rather than at import."""
-    return build_parser()
 
 
 def _read_input(source: str) -> str:

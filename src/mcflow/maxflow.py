@@ -8,31 +8,23 @@ each in edge-id order.
 max_flow augments along Edmonds-Karp's paths over one list `res` of 2E
 residual capacities; pushing d units along arc a is
 `res[a] -= d; res[a ^ 1] += d`, so the flow on edge e is `res[2*e + 1]`.
-Edmonds-Karp's breadth-first search, tried in `out` order (forward before
-backward, lower edge ids first), picks the shortest residual path whose
-arc positions are lexicographically smallest.  max_flow finds the same
-paths in phases: one breadth-first search back from the sink labels the
-nodes with their distance to it, then walks from the source along the
-first arc one step nearer, one path at a time, until no such walk
-reaches the sink.  Augmenting only adds arcs that lead away from the
-sink, so the labels stay exact for the whole phase.  The same input
-therefore always gives the same paths, flows and min cut.  Once the sink
-is out of reach, one forward search (_residual_search) labels exactly the
-canonical source side: the min cut returned is that node set together
-with the edges leaving it.
+Edmonds-Karp's search, tried in `out` order (forward before backward,
+lower edge ids first), picks the shortest residual path whose arc
+positions are lexicographically smallest.  max_flow finds the same paths
+in phases, each labeled by one search grown from both ends, so the same
+input always gives the same paths, flows and min cut.
 
-decompose_cut_paths checks maximality with the same search, then works on
-per-node lists of the edges carrying flow, built once per call: it cancels
-any flow cycles and peels simple source-sink paths, lowest edge id first.
-Every max flow leaves the same nodes residually reachable, so each peeled
-path crosses the cut that search labels, the canonical min cut, exactly
-once; the flow's own `min_cut` is never read.
+decompose_cut_paths checks maximality with the same search, then cancels
+any flow cycles and peels simple source-sink paths, lowest edge id first,
+over per-node lists of the edges carrying flow.  Every max flow leaves
+the same nodes residually reachable, so each path crosses the cut that
+search labels, the canonical min cut, exactly once; the flow's own
+`min_cut` is never read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from operator import sub
 from typing import Sequence
 
@@ -97,88 +89,95 @@ def _check_endpoints(net: Network, s: str, t: str) -> None:
         raise ValueError("source equals sink")
 
 
-def _residual_search(
+def _search(
     out: Sequence[Sequence[tuple[int, int]]], res: Sequence[int], s: int, t: int
-) -> list[bool] | None:
-    """Breadth-first search from s over the arcs with positive residual
-    capacity `res`; `out` is `Network.arcs.out`.
+) -> tuple[list[int], list[list[int]] | None]:
+    """Breadth-first search over the arcs with positive residual capacity
+    `res` (`out` is `Network.arcs.out`), grown one whole level at a time
+    from s, or back from t over the arcs a with `res[a ^ 1] > 0`, on the
+    side whose frontier is smaller (Pohl's bi-directional search).
 
-    Returns None as soon as t is labeled.  Otherwise returns the labels,
-    one flag per node, set exactly for the nodes residually reachable from
-    s: the source side of the canonical min cut.
+    When the sides meet, at depth f from s and b from t, the shortest s-t
+    path has D = f + b hops.  Returns (dist, None): the hop distance to t
+    of the nodes labeled from t and of every node on a shortest path, -1
+    elsewhere.  A sweep over levels f - 1 down to 0 labels the latter: a
+    node k hops from s is D - k from t exactly when an arc leads from it
+    to a node labeled D - k - 1.
+
+    When t is out of reach, returns (depth, levels): levels[k] lists the
+    nodes k hops from s, together the source side of the canonical min
+    cut, and depth is -1 exactly outside it.
     """
-    seen = [False] * len(out)
-    seen[s] = True
-    queue = [s]
-    for u in queue:  # the list grows while it is read: a FIFO queue
-        for a, w in out[u]:
-            if not seen[w] and res[a] > 0:
-                if w == t:
-                    return None
-                seen[w] = True
-                queue.append(w)
-    return seen
-
-
-def _source_cut(net: Network, inside: Sequence[bool]) -> Cut:
-    tail = net.arcs.tail
-    cut_edges = tuple(
-        e
-        for e, u, w in zip(net.edges, tail[0::2], tail[1::2])
-        if inside[u] and not inside[w]
-    )
-    return Cut(
-        frozenset(compress(net.nodes, inside)),
-        cut_edges,
-        sum(e.capacity for e in cut_edges),
-    )
-
-
-def _residuals(net: Network, edge_flow: Sequence[int]) -> list[int]:
-    """Residual capacity per arc: spare capacity forward, flow backward."""
-    res = [0] * (2 * len(net.edges))
-    res[0::2] = map(sub, net.arcs.capacity, edge_flow)
-    res[1::2] = edge_flow
-    return res
-
-
-def _distances_to(
-    out: Sequence[Sequence[tuple[int, int]]], res: Sequence[int], s: int, t: int
-) -> list[int] | None:
-    """Breadth-first search back from t: the residual hop distance to t of
-    every node nearer to t than s, and of s; -1 for the nodes not labeled.
-
-    An arc a = (v, w) in `out[v]` has its reverse a ^ 1 entering v from w,
-    so `res[a ^ 1] > 0` means w reaches v.  The search stops as soon as s
-    is labeled; returns None when s cannot reach t.
-    """
+    depth = [-1] * len(out)
     dist = [-1] * len(out)
-    dist[t] = 0
-    queue = [t]
-    for v in queue:  # the list grows while it is read: a FIFO queue
-        d = dist[v] + 1
-        for a, w in out[v]:
-            if dist[w] == -1 and res[a ^ 1] > 0:
-                dist[w] = d
-                if w == s:
-                    return dist
-                queue.append(w)
-    return None
+    depth[s] = dist[t] = 0
+    levels = [[s]]  # levels[k] holds the nodes k hops from s
+    back = [t]  # the nodes b hops from t
+    b = 0
+    met = False
+    while levels[-1]:
+        grown: list[int] = []
+        # Once t's side has run dry, t is out of reach and s's side grows
+        # alone until it runs dry too.
+        if 0 < len(back) < len(levels[-1]):
+            b += 1
+            front, labels, others, label, flip = back, dist, depth, b, 1
+            back = grown
+        else:
+            front, labels, others, label, flip = levels[-1], depth, dist, len(levels), 0
+            levels.append(grown)
+        for v in front:
+            for a, w in out[v]:
+                if labels[w] < 0 and res[a ^ flip] > 0:
+                    labels[w] = label
+                    grown.append(w)
+                    if others[w] >= 0:
+                        met = True
+        if met:
+            break
+    else:
+        return depth, levels
+    # Level f is not swept: its nodes on shortest paths are b hops from t
+    # and labeled already, and for b = 0 the test below would match every
+    # unlabeled node.
+    f = len(levels) - 1
+    for k in range(f - 1, -1, -1):
+        nearer = f + b - k - 1
+        for v in levels[k]:
+            if dist[v] < 0:
+                for a, w in out[v]:
+                    if res[a] > 0 and dist[w] == nearer:
+                        dist[v] = nearer + 1
+                        break
+    return dist, None
+
+
+def _source_cut(net: Network, depth: Sequence[int], levels: list[list[int]]) -> Cut:
+    """The cut around the source side that _search returned."""
+    leaving = []
+    for level in levels:
+        for v in level:
+            for a, w in net.arcs.out[v]:
+                if a & 1:  # the backward arcs follow the forward ones
+                    break
+                if depth[w] < 0:
+                    leaving.append(a >> 1)
+    cut_edges = tuple(net.edges[e] for e in sorted(leaving))
+    side = frozenset(net.nodes[v] for level in levels for v in level)
+    return Cut(side, cut_edges, sum(e.capacity for e in cut_edges))
 
 
 def max_flow(net: Network, s: str, t: str, commodity: int = 0) -> FlowState:
     """Augment to completion; the result carries the canonical min cut.
 
     The augmenting paths are Edmonds-Karp's, found in phases.  Each phase
-    labels nodes with their distance to t (_distances_to), then walks from
-    s along the first arc in `out` order that has residual capacity and
-    leads one step nearer to t, and pushes each path's own bottleneck
-    before looking for the next.  Each node keeps a pointer to its current
-    arc, and a node with no arc left is a dead end for the rest of the
-    phase.  The first path the walk completes is the shortest path with
-    the lexicographically smallest arc positions, the one a fresh forward
-    search would pick.  When s has no arc left, the next phase relabels;
-    when t is out of reach, one forward search gives the min cut.
+    labels the nodes on shortest s-t paths with their distance to t
+    (_search), then walks from s along the first arc in `out` order that
+    has residual capacity and leads one step nearer to t, pushing each
+    path's bottleneck before looking for the next; the first path it
+    completes is the one a fresh forward search would pick.  Each node
+    keeps a pointer to its current arc, and a node with none left is a
+    dead end for the phase.  Phases repeat until t is out of reach.
     """
     _check_endpoints(net, s, t)
     arcs = net.arcs
@@ -189,7 +188,12 @@ def max_flow(net: Network, s: str, t: str, commodity: int = 0) -> FlowState:
     value = 0
     budget = sum(res[a] for a, _ in out[si])
     rounds = 0
-    while (dist := _distances_to(out, res, si, ti)) is not None:
+    while True:
+        dist, levels = _search(out, res, si, ti)
+        if levels is not None:  # t is out of reach; dist holds depths from s
+            break
+        # The walk visits only nodes on shortest paths, which all carry
+        # their exact distance, so it steps as if every node were labeled.
         # The labels stay exact for the whole phase: augmenting only adds
         # arcs leading away from t, so the arcs one step nearer to t only
         # lose capacity, and a node's current arc and a dead end stay put.
@@ -230,9 +234,7 @@ def max_flow(net: Network, s: str, t: str, commodity: int = 0) -> FlowState:
                 dist[u] = -1  # a dead end for the rest of the phase
                 path.pop()
                 nodes.pop()
-    inside = _residual_search(out, res, si, ti)
-    assert inside is not None, "the sink is still reachable after the last phase"
-    cut = _source_cut(net, inside)
+    cut = _source_cut(net, dist, levels)
     assert t not in cut.source_side
     assert value == cut.capacity, "flow value must equal the reachability cut capacity"
     return FlowState(commodity, s, t, tuple(res[1::2]), value, cut)
@@ -294,8 +296,11 @@ def decompose_cut_paths(net: Network, f: FlowState) -> list[ColoredPath]:
     _check_endpoints(net, f.source, f.sink)
     arcs = net.arcs
     s, t = arcs.index[f.source], arcs.index[f.sink]
-    inside = _residual_search(arcs.out, _residuals(net, f.edge_flow), s, t)
-    if inside is None:
+    res = [0] * (2 * len(net.edges))  # spare capacity forward, flow backward
+    res[0::2] = map(sub, arcs.capacity, f.edge_flow)
+    res[1::2] = f.edge_flow
+    depth, levels = _search(arcs.out, res, s, t)
+    if levels is None:
         raise ValueError("flow is not maximal; decomposition requires a max flow")
     flows = list(f.edge_flow)
     tail = arcs.tail
@@ -332,7 +337,7 @@ def decompose_cut_paths(net: Network, f: FlowState) -> list[ColoredPath]:
             flows[eid] -= amount
         peeled += amount
         assert len(set(visited)) == len(visited), "peeled path is not simple"
-        crossed = sum(inside[tail[2 * e]] and not inside[tail[2 * e + 1]] for e in walk)
+        crossed = sum(depth[tail[2 * e]] >= 0 and depth[tail[2 * e + 1]] < 0 for e in walk)
         assert crossed == 1, "path must cross the min cut exactly once"
         paths.append(ColoredPath(f.commodity, len(paths) + 1, tuple(walk), amount))
     assert peeled == f.value, "decomposition amounts must sum to the flow value"

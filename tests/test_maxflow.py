@@ -59,6 +59,13 @@ def augmenting_path_lengths(net, s, t):
     return lengths
 
 
+def _network(nodes, edges):
+    """One commodity s -> t over the named nodes and "tail head cap" edges."""
+    text = "".join(f"node {v}\n" for v in nodes.split())
+    text += "".join(f"edge {e}\n" for e in edges)
+    return parse_network(text + "commodity s t\n")
+
+
 class TestFindAugmentingPath:
     """The reference search defines the tie-break max_flow must follow."""
 
@@ -200,6 +207,103 @@ class TestMatchesReference:
         assert f.value == 4
         assert f.edge_flow == (2, 1, 1, 1, 0, 0, 1, 1, 3, 1, 1)
         assert f == reference_max_flow(net, "s", "t")
+
+    # Each phase's search grows whole levels from both ends, always on the
+    # side with the smaller frontier (the source side on a tie).  The
+    # networks below steer it into each way a search can end; the comments
+    # give the levels it grows.
+
+    def test_sides_meet_on_a_forward_level(self):
+        # First phase: {s}, {a}, then {u, t} from s: t is met with b = 0.
+        # u shares the meeting level and leads on to w, so labeling that
+        # level would send the walk off the shortest paths.  Second phase:
+        # s-a-u-w-t, met forward again.
+        net = _network(
+            "s a u w t x1 x2 x3",
+            ["s a 2", "a u 1", "a t 1", "u w 1", "w t 1", "x1 t 1", "x2 t 1", "x3 t 1"],
+        )
+        assert augmenting_path_lengths(net, "s", "t") == [2, 4]
+        assert_matches_reference(net)
+
+    def test_sides_meet_on_a_forward_level_past_the_sink(self):
+        # {s}, {a}, {b, c} from s, then t's five in-neighbours, then {d}
+        # from s: met at forward depth 3, backward depth 1.  The sweep
+        # labels b, c, a and s, and one phase carries both paths.
+        net = _network(
+            "s a b c d t x1 x2 x3 x4",
+            ["s a 2", "a b 1", "a c 1", "b d 1", "c d 1", "d t 2"]
+            + [f"x{i} t 1" for i in range(1, 5)],
+        )
+        assert augmenting_path_lengths(net, "s", "t") == [4, 4]
+        assert_matches_reference(net)
+
+    def test_sides_meet_on_a_backward_level(self):
+        # {s}, then s's five out-neighbours; {b} and {a} from t: met at
+        # backward depth 2, and only s is left to the sweep.  After the
+        # flow, t's side runs dry first and s's side finishes alone.
+        net = _network(
+            "s x1 x2 x3 x4 a b t",
+            [f"s x{i} 1" for i in range(1, 5)] + ["s a 2", "a b 2", "b t 2"],
+        )
+        assert_matches_reference(net)
+
+    def test_source_side_runs_dry_first(self):
+        # The last search grows {a1, a2, a3} from s, {x1, x2} and {y1, y2,
+        # y3} from t, then {b} from s, whose only arc on is saturated: the
+        # cut comes from the source side's own labels.
+        net = _network(
+            "s a1 a2 a3 b t x1 x2 y1 y2 y3",
+            [f"s a{i} 5" for i in (1, 2, 3)]
+            + [f"a{i} b 5" for i in (1, 2, 3)]
+            + ["b t 1", "x1 t 1", "x2 t 1", "y1 x1 1", "y2 x1 1", "y3 x2 1"],
+        )
+        f = max_flow(net, "s", "t")
+        assert f.min_cut.source_side == {"s", "a1", "a2", "a3", "b"}
+        assert_matches_reference(net)
+
+    def test_sink_side_runs_dry_first(self):
+        # The last search grows {a, x1} from s, then nothing from t, whose
+        # one in-arc is saturated; s's side has to finish alone, one level
+        # at a time down the x1-x5 chain.
+        net = _network(
+            "s a x1 x2 x3 x4 x5 t",
+            ["s a 5", "a t 1", "s x1 1"] + [f"x{i} x{i + 1} 1" for i in range(1, 5)],
+        )
+        f = max_flow(net, "s", "t")
+        assert f.min_cut.source_side == {"s", "a", "x1", "x2", "x3", "x4", "x5"}
+        assert_matches_reference(net)
+
+    def test_lopsided_fan_out_and_chain(self):
+        # Two levels of fan-out at s (2, then 8 nodes) and a six-node chain
+        # into t with one shortcut: the phases meet on a backward level
+        # and on forward levels, the sweep labels three nodes in the first
+        # phase, and the last search ends with t's side dry.
+        xs = [f"x{i}" for i in range(8)]
+        net = _network(
+            "s p0 p1 " + " ".join(xs) + " c0 c1 c2 c3 c4 c5 t",
+            ["s p0 8", "s p1 8"]
+            + [f"p{i % 2} {x} 2" for i, x in enumerate(xs)]
+            + [f"{x} c{i % 3} 1" for i, x in enumerate(xs)]
+            + [f"c{j} c{j + 1} 4" for j in range(5)]
+            + ["c5 t 6", "c1 c4 1"],
+        )
+        assert augmenting_path_lengths(net, "s", "t") == [6, 7, 7, 8]
+        assert_matches_reference(net)
+
+    def test_regular_corpus(self):
+        # Sparse digraphs like the benchmark's: every node has degree 2-4
+        # in and out, so the searches from both ends grow for several
+        # levels before they meet.
+        rng = random.Random(1971)
+        for _ in range(80):
+            net = regular_network(
+                rng,
+                rng.randint(6, 200),
+                rng.randint(2, 4),
+                4,
+                max_cap=rng.choice((1, 3, 20)),
+            )
+            assert_matches_reference(net)
 
 
 class TestMaxFlow:
