@@ -21,7 +21,7 @@ import os
 import sys
 
 from .heuristic import greedy_solve, inclusion_exclusion_bound, upper_bounds
-from .maxflow import decompose_cut_paths, max_flow
+from .maxflow import max_flow
 from .netmodel import (
     Commodity,
     Network,
@@ -125,8 +125,6 @@ def _cmd_validate(net: Network, problems: list[str], structured: bool) -> int:
 def _cmd_maxflow(net: Network, com: Commodity, structured: bool) -> int:
     flow = max_flow(net, com.source, com.sink, commodity=com.index)
     cut = flow.min_cut
-    assert cut is not None
-    paths = decompose_cut_paths(net, flow)
     if structured:
         records: list[tuple] = [
             ("commodity", com.index),
@@ -141,7 +139,7 @@ def _cmd_maxflow(net: Network, com: Commodity, structured: bool) -> int:
         ]
         records += [("edge_flow", e.id, flow.edge_flow[e.id]) for e in net.edges]
         records += [
-            ("path", p.label, p.bottleneck, render_path(net, p.edges)) for p in paths
+            ("path", p.label, p.bottleneck, render_path(net, p.edges)) for p in flow.paths
         ]
         print(_rows(records))
     else:
@@ -155,7 +153,7 @@ def _cmd_maxflow(net: Network, com: Commodity, structured: bool) -> int:
         for e in net.edges:
             print(f"  e{e.id} {e.tail}->{e.head}: {flow.edge_flow[e.id]}/{e.capacity}")
         print("decomposition:")
-        for p in paths:
+        for p in flow.paths:
             print(f"  {p.label}: {render_path(net, p.edges)} amount {p.bottleneck}")
     return 0
 
@@ -220,7 +218,7 @@ def _cmd_tables(net: Network, structured: bool) -> int:
 
 def _cmd_solve(net: Network, structured: bool) -> int:
     tables = build_tables(net)
-    bounds = upper_bounds(net, tables)
+    bounds = upper_bounds(tables)
     initial_counts = [
         (path.label, tables.path_color_count[position])
         for position, path in enumerate(tables.paths)

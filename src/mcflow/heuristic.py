@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .maxflow import ColoredPath, Cut
-from .netmodel import Network
+from .netmodel import Network, _check_references
 from .tables import ACTIVE, FlowTables, ship_position
 
 __all__ = [
@@ -134,12 +134,7 @@ def validate_assignment(net: Network, assignment: Assignment) -> list[str]:
     over edge_flow fills per-edge and per-(commodity, node) accumulators,
     so the check costs O(K*V + E + flow entries).
     """
-    known = {com.index for com in net.commodities}
-    for commodity_index, eid in assignment.edge_flow:
-        if commodity_index not in known:
-            raise ValueError(f"assignment references unknown commodity {commodity_index}")
-        if not 0 <= eid < len(net.edges):
-            raise ValueError(f"assignment references unknown edge {eid}")
+    _check_references(net, assignment)
     violations: list[str] = []
     used = [0] * len(net.edges)
     inflow: dict[tuple[int, str], int] = {}
@@ -201,19 +196,15 @@ class UpperBounds:
     inclusion_exclusion: int
 
 
-def upper_bounds(net: Network, tables: FlowTables) -> UpperBounds:
+def upper_bounds(tables: FlowTables) -> UpperBounds:
     """Sum of the individual max flows, and the cut inclusion-exclusion
-    bound.
+    bound, over the commodities of `tables.network`.
 
     The alternating sum over commodity subsets that
     inclusion_exclusion_bound lays out collapses to the capacity of the
     union of the min-cut edges, so that is computed directly: O(E) rather
     than 2^K - 1 subset intersections.
     """
-    total = sum(tables.commodity_value[com.index] for com in net.commodities)
-    union = {
-        edge.id: edge.capacity
-        for com in net.commodities
-        for edge in tables.cuts[com.index].cut_edges
-    }
+    total = sum(tables.commodity_value.values())
+    union = {edge.id: edge.capacity for cut in tables.cuts.values() for edge in cut.cut_edges}
     return UpperBounds(total, sum(union.values()))

@@ -1,4 +1,4 @@
-"""Single-commodity maximum flow and its decomposition.
+"""Single-commodity maximum flow and its decomposition into paths.
 
 Both run on the network's integer residual arcs (`Network.arcs`, built
 once per network): arc 2*e is edge e forward, arc 2*e+1 is edge e
@@ -14,18 +14,16 @@ positions are lexicographically smallest.  max_flow finds the same paths
 in phases, each labeled by one search grown from both ends, so the same
 input always gives the same paths, flows and min cut.
 
-decompose_cut_paths checks maximality with the same search, then cancels
-any flow cycles and peels simple source-sink paths, lowest edge id first,
-over per-node lists of the edges carrying flow.  Every max flow leaves
-the same nodes residually reachable, so each path crosses the cut that
-search labels, the canonical min cut, exactly once; the flow's own
-`min_cut` is never read.
+The search that finds the sink out of reach labels the source side of the
+canonical min cut.  max_flow then hands its flows and those labels to
+decompose_cut_paths, which cancels any flow cycles and peels simple
+source-sink paths, lowest edge id first, over per-node lists of the edges
+carrying flow; each path crosses that cut exactly once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import sub
 from typing import Sequence
 
 from .netmodel import Edge, Network
@@ -34,7 +32,6 @@ __all__ = [
     "ColoredPath",
     "Cut",
     "FlowState",
-    "decompose_cut_paths",
     "max_flow",
 ]
 
@@ -71,14 +68,16 @@ class Cut:
 
 @dataclass(frozen=True)
 class FlowState:
-    """A feasible flow for one commodity; min_cut is set at termination."""
+    """A max flow for one commodity, its canonical min cut, and the paths
+    it decomposes into, numbered from 1 in the order they were peeled."""
 
     commodity: int
     source: str
     sink: str
     edge_flow: tuple[int, ...]
     value: int
-    min_cut: Cut | None = None
+    min_cut: Cut
+    paths: tuple[ColoredPath, ...]
 
 
 def _check_endpoints(net: Network, s: str, t: str) -> None:
@@ -168,7 +167,8 @@ def _source_cut(net: Network, depth: Sequence[int], levels: list[list[int]]) -> 
 
 
 def max_flow(net: Network, s: str, t: str, commodity: int = 0) -> FlowState:
-    """Augment to completion; the result carries the canonical min cut.
+    """Augment to completion; the result carries the canonical min cut
+    and the flow's paths (decompose_cut_paths).
 
     The augmenting paths are Edmonds-Karp's, found in phases.  Each phase
     labels the nodes on shortest s-t paths with their distance to t
@@ -237,19 +237,26 @@ def max_flow(net: Network, s: str, t: str, commodity: int = 0) -> FlowState:
     cut = _source_cut(net, dist, levels)
     assert t not in cut.source_side
     assert value == cut.capacity, "flow value must equal the reachability cut capacity"
-    return FlowState(commodity, s, t, tuple(res[1::2]), value, cut)
+    paths = decompose_cut_paths(net, commodity, si, ti, res[1::2], dist, value)
+    return FlowState(commodity, s, t, tuple(res[1::2]), value, cut, paths)
 
 
-def _cancel_flow_cycles(positive: list[list[tuple[int, int]]], flows: list[int]) -> None:
-    """Zero every directed cycle of the positive-flow subgraph.
+def _cancel_flow_cycles(net: Network, flows: list[int]) -> list[list[tuple[int, int]]]:
+    """Zero every directed cycle of the positive-flow subgraph, in place.
 
     Backward augmentations can leave flow cycles; they carry no
-    source-sink value.  `positive[v]` lists (edge id, head) for the edges
-    leaving node v in id order; entries whose flow has dropped to zero are
-    skipped.  Each pass is a depth-first search over the nodes in order;
-    the first edge into a node on the current trail closes a cycle, whose
-    smallest flow is cancelled before the search starts again.
+    source-sink value.  Returns `positive`: per node v, (edge id, head) for
+    the edges leaving v with positive flow before cancelling, in id order;
+    the search skips entries whose flow has dropped to zero.  Each pass is
+    a depth-first search over the nodes in order; the first edge into a
+    node on the current trail closes a cycle, whose smallest flow is
+    cancelled before the search starts again.
     """
+    tail = net.arcs.tail
+    positive: list[list[tuple[int, int]]] = [[] for _ in net.arcs.out]
+    for eid, amount in enumerate(flows):
+        if amount > 0:
+            positive[tail[2 * eid]].append((eid, tail[2 * eid + 1]))
     while True:
         state = [0] * len(positive)  # 0 unvisited, 1 on the trail, 2 done
         cycle: list[int] | None = None
@@ -280,35 +287,26 @@ def _cancel_flow_cycles(positive: list[list[tuple[int, int]]], flows: list[int])
             if cycle is not None:
                 break
         if cycle is None:
-            return
+            return positive
         delta = min(flows[eid] for eid in cycle)
         for eid in cycle:
             flows[eid] -= delta
 
 
-def decompose_cut_paths(net: Network, f: FlowState) -> list[ColoredPath]:
-    """Peel a max flow into simple source-sink paths.
+# Module-level under this name because perfbench/spans.py times it and counts its paths.
+def decompose_cut_paths(
+    net: Network, commodity: int, s: int, t: int, flows: list[int], depth: list[int], value: int
+) -> tuple[ColoredPath, ...]:
+    """Peel max_flow's final edge flows into simple s-t paths, zeroing `flows`.
 
-    Deterministic: flow cycles are cancelled first, then the walk following
-    the lowest-id positive-flow edge out of each node is peeled by its
-    bottleneck, repeatedly, until the source has no positive out-flow.
+    `depth` is -1 exactly outside the min cut's source side, as the last
+    search left it.  Deterministic: flow cycles are cancelled first, then
+    the walk following the lowest-id positive-flow edge out of each node
+    is peeled by its bottleneck, repeatedly, until the source has no
+    positive out-flow.
     """
-    _check_endpoints(net, f.source, f.sink)
-    arcs = net.arcs
-    s, t = arcs.index[f.source], arcs.index[f.sink]
-    res = [0] * (2 * len(net.edges))  # spare capacity forward, flow backward
-    res[0::2] = map(sub, arcs.capacity, f.edge_flow)
-    res[1::2] = f.edge_flow
-    depth, levels = _search(arcs.out, res, s, t)
-    if levels is None:
-        raise ValueError("flow is not maximal; decomposition requires a max flow")
-    flows = list(f.edge_flow)
-    tail = arcs.tail
-    positive: list[list[tuple[int, int]]] = [[] for _ in arcs.out]
-    for eid, amount in enumerate(flows):
-        if amount > 0:
-            positive[tail[2 * eid]].append((eid, tail[2 * eid + 1]))
-    _cancel_flow_cycles(positive, flows)
+    tail = net.arcs.tail
+    positive = _cancel_flow_cycles(net, flows)
     first = [0] * len(positive)  # entries before it carry no flow any more
 
     def next_edge(v: int) -> tuple[int, int] | None:
@@ -339,6 +337,6 @@ def decompose_cut_paths(net: Network, f: FlowState) -> list[ColoredPath]:
         assert len(set(visited)) == len(visited), "peeled path is not simple"
         crossed = sum(depth[tail[2 * e]] >= 0 and depth[tail[2 * e + 1]] < 0 for e in walk)
         assert crossed == 1, "path must cross the min cut exactly once"
-        paths.append(ColoredPath(f.commodity, len(paths) + 1, tuple(walk), amount))
-    assert peeled == f.value, "decomposition amounts must sum to the flow value"
-    return paths
+        paths.append(ColoredPath(commodity, len(paths) + 1, tuple(walk), amount))
+    assert peeled == value, "decomposition amounts must sum to the flow value"
+    return tuple(paths)

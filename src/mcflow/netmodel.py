@@ -313,6 +313,16 @@ def _commodity_color(index: int) -> str:
     return _DOT_COLORS[(index - 1) % len(_DOT_COLORS)]
 
 
+def _check_references(net: Network, assignment: "Assignment") -> None:
+    """ValueError if the assignment's edge_flow names an unknown commodity or edge."""
+    known = {com.index for com in net.commodities}
+    for commodity_index, eid in assignment.edge_flow:
+        if commodity_index not in known:
+            raise ValueError(f"assignment references unknown commodity {commodity_index}")
+        if not 0 <= eid < len(net.edges):
+            raise ValueError(f"assignment references unknown edge {eid}")
+
+
 def export_dot(net: Network, assignment: "Assignment | None" = None) -> str:
     """Render the network as Graphviz DOT text.
 
@@ -323,12 +333,7 @@ def export_dot(net: Network, assignment: "Assignment | None" = None) -> str:
     commodity the network does not have.
     """
     if assignment is not None:
-        known = {com.index for com in net.commodities}
-        for commodity_index, edge_id in assignment.edge_flow:
-            if commodity_index not in known:
-                raise ValueError(f"assignment references unknown commodity {commodity_index}")
-            if not 0 <= edge_id < len(net.edges):
-                raise ValueError(f"assignment references unknown edge {edge_id}")
+        _check_references(net, assignment)
     lines = ["digraph network {", "  rankdir=LR;", "  node [shape=circle, fontsize=11];"]
     for com in net.commodities:
         lines.append(

@@ -232,7 +232,7 @@ def gap_report(
     exact after all and the report is not truncated.
     """
     tables = build_tables(net)
-    bounds = upper_bounds(net, tables)
+    bounds = upper_bounds(tables)
     assignment = greedy_solve(tables)
     optimum = assignment.total_value
     truncated = False

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .maxflow import ColoredPath, Cut, decompose_cut_paths, max_flow
+from .maxflow import ColoredPath, Cut, max_flow
 from .netmodel import Network, validate_network
 
 __all__ = [
@@ -111,10 +111,9 @@ def build_tables(net: Network) -> FlowTables:
     commodity_value: dict[int, int] = {}
     for com in net.commodities:
         flow = max_flow(net, com.source, com.sink, commodity=com.index)
-        assert flow.min_cut is not None
         cuts[com.index] = flow.min_cut
         commodity_value[com.index] = flow.value
-        paths.extend(decompose_cut_paths(net, flow))
+        paths.extend(flow.paths)
     edge_paths: list[list[int]] = [[] for _ in net.edges]
     for position, path in enumerate(paths):
         for eid in dict.fromkeys(path.edges):

@@ -8,6 +8,7 @@ themselves.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from collections import deque
 from typing import NamedTuple, Sequence
@@ -80,7 +81,7 @@ def add_circulations(net: Network, edge_flow, rng, rounds=3) -> tuple[int, ...]:
     """Push spare capacity around directed cycles of unsaturated edges.
 
     The value and maximality of the flow are unchanged, so the result is
-    another max flow, now with flow cycles for decomposition to cancel.
+    another max flow, now with flow cycles to cancel.
     """
     flows = list(edge_flow)
     for _ in range(rounds):
@@ -206,13 +207,15 @@ def reference_augment(net: Network, edge_flow, found: Augmentation) -> tuple[int
 
 def reference_max_flow(net: Network, s: str, t: str, commodity: int = 0) -> FlowState:
     """Stepwise Edmonds-Karp: a fresh search and a new flow tuple per
-    augmentation, then the min cut from a separate reachability pass."""
+    augmentation, then the min cut from a separate reachability pass and
+    the paths from the reference decomposition."""
     flows = (0,) * len(net.edges)
     value = 0
     while (found := reference_augmenting_path(net, flows, s, t)) is not None:
         flows = reference_augment(net, flows, found)
         value += found.leeway
-    return FlowState(commodity, s, t, flows, value, reference_cut(net, flows, s))
+    f = FlowState(commodity, s, t, flows, value, reference_cut(net, flows, s), ())
+    return dataclasses.replace(f, paths=tuple(reference_decompose_cut_paths(net, f)))
 
 
 def reference_cut(net: Network, flows, s: str) -> Cut:
@@ -293,24 +296,16 @@ def reference_cancel_flow_cycles(net: Network, flows: list[int]) -> None:
 
 
 def reference_decompose_cut_paths(net: Network, f: FlowState) -> list[ColoredPath]:
-    """The dict-based decomposition that decompose_cut_paths replaced:
-    a restarted depth-first cycle search, then peeling walks that re-filter
-    each node's out-edges at every step.
+    """The dict-based decomposition of a max flow `f` that max_flow's
+    decompose_cut_paths replaced: a restarted depth-first cycle search,
+    then peeling walks that re-filter each node's out-edges at every step.
 
     Deterministic: flow cycles are cancelled first, then the walk following
     the lowest-id positive-flow edge out of each node is peeled by its
     bottleneck, repeatedly, until the source has no positive out-flow.
+    Each path must cross `f.min_cut` exactly once.
     """
-    nodes = set(net.nodes)
-    for v in (f.source, f.sink):
-        if v not in nodes:
-            raise ValueError(f"node {v!r} not in network")
-    if f.source == f.sink:
-        raise ValueError("source equals sink")
-    if reference_augmenting_path(net, f.edge_flow, f.source, f.sink) is not None:
-        raise ValueError("flow is not maximal; decomposition requires a max flow")
-    cut = f.min_cut if f.min_cut is not None else reference_cut(net, f.edge_flow, f.source)
-    cut_ids = {e.id for e in cut.cut_edges}
+    cut_ids = {e.id for e in f.min_cut.cut_edges}
     out = reference_out_edges(net)
     flows = list(f.edge_flow)
     reference_cancel_flow_cycles(net, flows)

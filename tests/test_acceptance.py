@@ -35,7 +35,6 @@ from mcflow import (
     Cut,
     Edge,
     build_tables,
-    decompose_cut_paths,
     gap_report,
     greedy_solve,
     inclusion_exclusion_bound,
@@ -113,10 +112,9 @@ def test_criterion_3_decomposition_structure():
     for net in _single_commodity_corpus():
         com = net.commodities[0]
         flow = max_flow(net, com.source, com.sink, commodity=com.index)
-        paths = decompose_cut_paths(net, flow)
-        assert sum(p.bottleneck for p in paths) == flow.value
+        assert sum(p.bottleneck for p in flow.paths) == flow.value
         cut_ids = {e.id for e in flow.min_cut.cut_edges}
-        for p in paths:
+        for p in flow.paths:
             assert sum(1 for eid in p.edges if eid in cut_ids) == 1
     _report(3, "decomposition structure", " (500 networks)")
 

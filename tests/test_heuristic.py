@@ -275,13 +275,13 @@ class TestUpperBounds:
     def test_golden_values(self, golden_text):
         net = parse_network(golden_text)
         t = build_tables(net)
-        bounds = upper_bounds(net, t)
+        bounds = upper_bounds(t)
         assert bounds.individual_total == 35
         assert bounds.inclusion_exclusion == 35
 
     def test_disjoint_bounds_equal_sum(self, disjoint_net):
         t = build_tables(disjoint_net)
-        bounds = upper_bounds(disjoint_net, t)
+        bounds = upper_bounds(t)
         assert bounds.individual_total == 10
         assert bounds.inclusion_exclusion == 10
 
@@ -290,7 +290,7 @@ class TestUpperBounds:
         for _ in range(60):
             net = random_network(rng, max_nodes=6, max_edges=10, commodity_range=(2, 3))
             t = build_tables(net)
-            bounds = upper_bounds(net, t)
+            bounds = upper_bounds(t)
             total = greedy_solve(t).total_value
             assert total <= bounds.individual_total
             assert total <= bounds.inclusion_exclusion
@@ -306,6 +306,6 @@ class TestUpperBounds:
             t = build_tables(net)
             ordered = [t.cuts[com.index] for com in net.commodities]
             bound = inclusion_exclusion_bound(ordered).bound
-            assert upper_bounds(net, t).inclusion_exclusion == bound
+            assert upper_bounds(t).inclusion_exclusion == bound
             sizes.add(len(net.commodities))
         assert 10 in sizes

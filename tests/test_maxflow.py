@@ -1,6 +1,6 @@
 """Augmenting-path search, max flow against a brute-force cut oracle and
-the stepwise reference, path decomposition against its reference, and the
-per-network caches."""
+the stepwise reference, the paths max flow peels and its cycle cancelling
+against their references, the search count, and the per-network caches."""
 
 import dataclasses
 import itertools
@@ -17,6 +17,7 @@ from helpers import (
     random_network,
     reference_augment,
     reference_augmenting_path,
+    reference_cancel_flow_cycles,
     reference_decompose_cut_paths,
     reference_find_flow_cycle,
     reference_max_flow,
@@ -26,27 +27,33 @@ from helpers import (
 from mcflow import (
     Commodity,
     Edge,
-    FlowState,
     Network,
     build_tables,
-    decompose_cut_paths,
     greedy_solve,
     max_flow,
     parse_network,
     path_nodes,
     validate_network,
 )
+from mcflow import maxflow
+from mcflow.maxflow import _cancel_flow_cycles
 
 
 def assert_matches_reference(net):
-    """Whole FlowState and decomposition equal the references for every
-    commodity, the decomposition also without the stored cut."""
+    """The whole FlowState, min cut and paths included, equals the
+    reference for every commodity."""
     for com in net.commodities:
         f = max_flow(net, com.source, com.sink, commodity=com.index)
         assert f == reference_max_flow(net, com.source, com.sink, commodity=com.index)
-        paths = decompose_cut_paths(net, f)
-        assert paths == reference_decompose_cut_paths(net, f)
-        assert paths == decompose_cut_paths(net, dataclasses.replace(f, min_cut=None))
+
+
+def assert_cancels_like_reference(net, edge_flow):
+    """_cancel_flow_cycles leaves the same flows as the reference."""
+    ours, theirs = list(edge_flow), list(edge_flow)
+    _cancel_flow_cycles(net, ours)
+    reference_cancel_flow_cycles(net, theirs)
+    assert ours == theirs
+    return ours
 
 
 def augmenting_path_lengths(net, s, t):
@@ -79,9 +86,10 @@ class TestFindAugmentingPath:
     def test_saturated_edge_has_no_path(self, single_edge_text):
         net = parse_network(single_edge_text)
         assert reference_augmenting_path(net, (5,), "s", "t") is None
-        # max_flow's own search agrees: the saturated flow decomposes
-        f = FlowState(0, "s", "t", (5,), 5)
-        assert [p.edges for p in decompose_cut_paths(net, f)] == [(0,)]
+        # max_flow's own search agrees: it stops at the saturated flow
+        f = max_flow(net, "s", "t")
+        assert f.edge_flow == (5,)
+        assert [p.edges for p in f.paths] == [(0,)]
 
     def test_golden_first_path_is_the_direct_edge(self, golden_net):
         found = reference_augmenting_path(golden_net, (0,) * 8, "s1", "t1")
@@ -106,8 +114,6 @@ class TestFindAugmentingPath:
     def test_unknown_node_rejected(self, golden_net):
         with pytest.raises(ValueError, match="not in network"):
             max_flow(golden_net, "s1", "zz")
-        with pytest.raises(ValueError, match="not in network"):
-            decompose_cut_paths(golden_net, FlowState(0, "s1", "zz", (0,) * 8, 0))
 
     @settings(max_examples=60)
     @given(networks(max_nodes=6, max_edges=10))
@@ -135,8 +141,8 @@ class TestAugment:
 
 
 class TestMatchesReference:
-    """max_flow must equal the stepwise reference, min cut included, and
-    decompose_cut_paths its reference, with and without the stored cut.
+    """max_flow must equal the stepwise reference, min cut and paths
+    included.
 
     The reference starts a new search for every augmenting path; max_flow
     finds the same paths in phases, so these cases also stress phases
@@ -371,38 +377,23 @@ class TestMaxFlow:
 
 class TestDecomposeCutPaths:
     def test_golden_commodity_1(self, golden_net):
-        f = max_flow(golden_net, "s1", "t1", commodity=1)
-        paths = decompose_cut_paths(golden_net, f)
+        paths = max_flow(golden_net, "s1", "t1", commodity=1).paths
         assert [(p.label, p.edges, p.bottleneck) for p in paths] == [
             ("P1.1", (0,), 5),
             ("P1.2", (1, 2, 3), 10),
         ]
 
     def test_golden_commodity_2(self, golden_net):
-        f = max_flow(golden_net, "s2", "t2", commodity=2)
-        paths = decompose_cut_paths(golden_net, f)
+        paths = max_flow(golden_net, "s2", "t2", commodity=2).paths
         assert [(p.label, p.edges, p.bottleneck) for p in paths] == [
             ("P2.1", (4, 1, 5), 10),
             ("P2.2", (6, 3, 7), 10),
         ]
 
-    def test_ignores_the_cut_the_flow_carries(self, golden_net):
-        # The crossing check uses the decomposition's own residual search,
-        # so another commodity's cut in `min_cut` changes nothing.
-        f1 = max_flow(golden_net, "s1", "t1", commodity=1)
-        f2 = max_flow(golden_net, "s2", "t2", commodity=2)
-        foreign = dataclasses.replace(f1, min_cut=f2.min_cut)
-        assert decompose_cut_paths(golden_net, foreign) == decompose_cut_paths(golden_net, f1)
-
     def test_paths_are_frozen(self, golden_net):
-        path = decompose_cut_paths(golden_net, max_flow(golden_net, "s1", "t1", commodity=1))[0]
+        path = max_flow(golden_net, "s1", "t1", commodity=1).paths[0]
         with pytest.raises(dataclasses.FrozenInstanceError):
             path.bottleneck = 0
-
-    def test_rejects_non_maximal_flow(self, single_edge_text):
-        net = parse_network(single_edge_text)
-        with pytest.raises(ValueError, match="not maximal"):
-            decompose_cut_paths(net, FlowState(0, "s", "t", (0,), 0))
 
     def test_flow_cycle_is_cancelled(self):
         # Maximal flow whose extra units spin on a detached cycle.
@@ -411,14 +402,11 @@ class TestDecomposeCutPaths:
             "edge s t 1\nedge a b 1\nedge b a 1\n"
             "commodity s t\n"
         )
-        f = FlowState(1, "s", "t", (1, 1, 1), 1)
-        paths = decompose_cut_paths(net, f)
-        assert [(p.edges, p.bottleneck) for p in paths] == [((0,), 1)]
+        assert assert_cancels_like_reference(net, (1, 1, 1)) == [1, 0, 0]
 
     def test_zero_flow_on_disconnected_pair_gives_no_paths(self):
         net = parse_network("node s\nnode t\nedge t s 3\ncommodity s t\n")
-        f = max_flow(net, "s", "t")
-        assert decompose_cut_paths(net, f) == []
+        assert max_flow(net, "s", "t").paths == ()
 
     def test_seeded_corpus_properties(self):
         rng = random.Random(2211)
@@ -426,7 +414,7 @@ class TestDecomposeCutPaths:
             net = random_network(rng, max_nodes=7, max_edges=12)
             com = net.commodities[0]
             f = max_flow(net, com.source, com.sink, commodity=com.index)
-            paths = decompose_cut_paths(net, f)
+            paths = f.paths
             assert sum(p.bottleneck for p in paths) == f.value
             cut_ids = {e.id for e in f.min_cut.cut_edges}
             replay = [0] * len(net.edges)
@@ -446,14 +434,15 @@ class TestDecomposeCutPaths:
     def test_decomposition_sums_to_value(self, net):
         com = net.commodities[0]
         f = max_flow(net, com.source, com.sink, commodity=com.index)
-        paths = decompose_cut_paths(net, f)
+        paths = f.paths
         assert sum(p.bottleneck for p in paths) == f.value
         assert [p.ordinal for p in paths] == list(range(1, len(paths) + 1))
 
 
 class TestDecompositionMatchesReference:
-    """decompose_cut_paths must equal the dict-based reference, including
-    on flows where it has cycles to cancel."""
+    """max_flow's paths must equal the dict-based reference decomposition,
+    including on flows with cycles to cancel, and cycle cancelling must
+    equal its reference on flows with many cycles."""
 
     def test_seeded_corpus_with_flow_cycles(self):
         rng = random.Random(2)
@@ -464,7 +453,7 @@ class TestDecompositionMatchesReference:
             f = max_flow(net, com.source, com.sink, commodity=com.index)
             if reference_find_flow_cycle(net, list(f.edge_flow)) is not None:
                 with_cycles += 1
-            assert decompose_cut_paths(net, f) == reference_decompose_cut_paths(net, f)
+            assert f.paths == tuple(reference_decompose_cut_paths(net, f))
         assert with_cycles >= 1  # the comparison covers cycle cancelling
 
     def test_added_circulations(self):
@@ -476,17 +465,49 @@ class TestDecompositionMatchesReference:
             net = random_network(rng, max_nodes=8, max_edges=30, max_cap=6)
             com = net.commodities[0]
             f = max_flow(net, com.source, com.sink, commodity=com.index)
-            spun = dataclasses.replace(
-                f, edge_flow=add_circulations(net, f.edge_flow, rng)
-            )
-            if reference_find_flow_cycle(net, list(spun.edge_flow)) is not None:
+            spun = add_circulations(net, f.edge_flow, rng)
+            if reference_find_flow_cycle(net, list(spun)) is not None:
                 with_cycles += 1
-            paths = decompose_cut_paths(net, spun)
-            assert paths == reference_decompose_cut_paths(net, spun)
-            assert paths == decompose_cut_paths(
-                net, dataclasses.replace(spun, min_cut=None)
-            )
+            cancelled = assert_cancels_like_reference(net, spun)
+            assert reference_find_flow_cycle(net, cancelled) is None
         assert with_cycles >= 50
+
+
+class TestSearchCount:
+    """Each max flow searches once per phase, that is once per distinct
+    augmenting path length, and once more to find the sink out of reach.
+    That last search labels the min cut the paths are peeled against, so
+    decomposing them costs no search of its own."""
+
+    @staticmethod
+    def assert_search_count(monkeypatch, nets):
+        calls = []
+        search = maxflow._search
+
+        def counting(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(maxflow, "_search", counting)
+        for net in nets:
+            calls.clear()
+            build_tables(net)
+            expected = sum(
+                len(set(augmenting_path_lengths(net, com.source, com.sink))) + 1
+                for com in net.commodities
+            )
+            assert len(calls) == expected
+
+    def test_golden_network(self, monkeypatch, golden_net):
+        self.assert_search_count(monkeypatch, [golden_net])
+
+    def test_seeded_corpus(self, monkeypatch):
+        rng = random.Random(1212)
+        nets = [
+            random_network(rng, max_nodes=12, max_edges=40, max_cap=4, commodity_range=(1, 4))
+            for _ in range(120)
+        ]
+        self.assert_search_count(monkeypatch, nets)
 
 
 class TestStressFixtures:
@@ -521,7 +542,7 @@ class TestStressFixtures:
         assert f.edge_flow == (0, 0, 0, 0)
         assert f.min_cut.source_side == frozenset({"s", "a"})
         assert [e.id for e in f.min_cut.cut_edges] == [1]
-        assert decompose_cut_paths(net, f) == []
+        assert f.paths == ()
 
     def test_all_zero_capacities(self):
         net = parse_network(

@@ -335,7 +335,7 @@ class TestGapReport:
                 rng, max_nodes=6, max_edges=10, max_cap=9, commodity_range=(2, 3)
             )
             tables = build_tables(net)
-            bound = upper_bounds(net, tables).inclusion_exclusion
+            bound = upper_bounds(tables).inclusion_exclusion
             greedy = greedy_solve(tables).total_value
             before = len(searches)
             report = gap_report(net)
