@@ -131,44 +131,47 @@ def validate_assignment(net: Network, assignment: Assignment) -> list[str]:
 
     Returns one message per violation; raises ValueError if the assignment
     references an edge or commodity the network does not have.  One pass
-    over edge_flow fills per-edge and per-(commodity, node) accumulators,
-    so the check costs O(K*V + E + flow entries).
+    over edge_flow fills per-edge totals and a balance (inflow minus
+    outflow) per (commodity, node) it touches; in and out totals are
+    rebuilt only to word a violation, so the check costs O(E + K + flow entries).
     """
     _check_references(net, assignment)
     violations: list[str] = []
     used = [0] * len(net.edges)
-    inflow: dict[tuple[int, str], int] = {}
-    outflow: dict[tuple[int, str], int] = {}
+    balance: dict[tuple[int, str], int] = {}
     for (commodity_index, eid), units in assignment.edge_flow.items():
         if units < 0:
-            violations.append(
-                f"commodity {commodity_index}, edge {eid}: negative flow {units}"
-            )
+            violations.append(f"commodity {commodity_index}, edge {eid}: negative flow {units}")
         edge = net.edges[eid]
         used[eid] += units
         head = (commodity_index, edge.head)
         tail = (commodity_index, edge.tail)
-        inflow[head] = inflow.get(head, 0) + units
-        outflow[tail] = outflow.get(tail, 0) + units
+        balance[head] = balance.get(head, 0) + units
+        balance[tail] = balance.get(tail, 0) - units
     for edge in net.edges:
         if used[edge.id] > edge.capacity:
             violations.append(
                 f"edge {edge.id} ({edge.tail}->{edge.head}):"
                 f" total flow {used[edge.id]} exceeds capacity {edge.capacity}"
             )
+    unbalanced: dict[int, list[str]] = {}
+    for (commodity_index, node), amount in balance.items():
+        if amount:
+            unbalanced.setdefault(commodity_index, []).append(node)
     for com in net.commodities:
-        for node in net.nodes:
-            if node in (com.source, com.sink):
-                continue
-            node_in = inflow.get((com.index, node), 0)
-            node_out = outflow.get((com.index, node), 0)
-            if node_in != node_out:
-                violations.append(
-                    f"commodity {com.index}, node {node}:"
-                    f" inflow {node_in} != outflow {node_out}"
-                )
-        source = (com.index, com.source)
-        net_out = outflow.get(source, 0) - inflow.get(source, 0)
+        bad = {n for n in unbalanced.get(com.index, ()) if n != com.source and n != com.sink}
+        if bad:
+            node_in = dict.fromkeys(bad, 0)
+            for (commodity_index, eid), units in assignment.edge_flow.items():
+                head = net.edges[eid].head
+                if commodity_index == com.index and head in bad:
+                    node_in[head] += units
+            violations.extend(
+                f"commodity {com.index}, node {node}: inflow {node_in[node]}"
+                f" != outflow {node_in[node] - balance[com.index, node]}"
+                for node in net.nodes if node in bad
+            )
+        net_out = -balance.get((com.index, com.source), 0)
         declared = assignment.per_commodity_value.get(com.index, 0)
         if net_out != declared:
             violations.append(

@@ -332,8 +332,13 @@ def export_dot(net: Network, assignment: "Assignment | None" = None) -> str:
     gray.  Raises ValueError if the assignment references an edge or
     commodity the network does not have.
     """
+    carried: dict[int, list[tuple[int, int]]] = {}
     if assignment is not None:
         _check_references(net, assignment)
+        # Sorted, each edge lists its commodities in index order, as the
+        # commodity lines above do.
+        for (commodity_index, eid), units in sorted(assignment.edge_flow.items()):
+            carried.setdefault(eid, []).append((commodity_index, units))
     lines = ["digraph network {", "  rankdir=LR;", "  node [shape=circle, fontsize=11];"]
     for com in net.commodities:
         lines.append(
@@ -346,16 +351,9 @@ def export_dot(net: Network, assignment: "Assignment | None" = None) -> str:
         if assignment is None:
             attrs = f'label="{edge.capacity}"'
         else:
-            total = sum(
-                assignment.edge_flow.get((com.index, edge.id), 0)
-                for com in net.commodities
-            )
-            carriers = [
-                com.index
-                for com in net.commodities
-                if assignment.edge_flow.get((com.index, edge.id), 0) > 0
-            ]
-            color = ":".join(_commodity_color(i) for i in carriers) or "gray"
+            flows = carried.get(edge.id, [])
+            total = sum(units for _, units in flows)
+            color = ":".join(_commodity_color(i) for i, units in flows if units > 0) or "gray"
             attrs = f'label="{total}/{edge.capacity}", color="{color}"'
         lines.append(f"  {_dot_quote(edge.tail)} -> {_dot_quote(edge.head)} [{attrs}];")
     lines.append("}")

@@ -32,6 +32,7 @@ from mcflow import (
     enumerate_paths,
     path_nodes,
 )
+from mcflow.netmodel import _check_references, _commodity_color, _dot_quote
 from mcflow.tables import ship_position
 
 
@@ -402,6 +403,156 @@ def full_scan_greedy(tables: FlowTables, after_step=None):
         if after_step is not None:
             after_step(tables)
     return shipments, discarded, edge_flow
+
+
+def multicommodity_networks(rng, count, min_commodities=1):
+    """`count` seeded networks with up to 12 commodities, alternating
+    regular_network and random_network instances."""
+    for trial in range(count):
+        commodities = rng.randint(min_commodities, 12)
+        if trial % 2:
+            yield random_network(rng, 12, 40, commodity_range=(commodities, commodities))
+        else:
+            yield regular_network(rng, rng.randint(6, 20), rng.randint(2, 3), commodities)
+
+
+def corrupt_assignment(net: Network, assignment, rng):
+    """A copy of `assignment` with one to three seeded faults: units added
+    to or taken from an entry, zero and negative entries, a node passed
+    through with in = out, flow into a commodity's own source or out of its
+    sink, and wrong per-commodity values, totals and shipments."""
+    flow = dict(assignment.edge_flow)
+    values = dict(assignment.per_commodity_value)
+    total = assignment.total_value
+    shipments = list(assignment.shipments)
+    for _ in range(rng.randint(1, 3)):
+        com = rng.choice(net.commodities)
+        edge = rng.choice(net.edges)
+        key = (com.index, edge.id)
+        kind = rng.randrange(8)
+        if kind == 0:
+            flow[key] = flow.get(key, 0) + rng.randint(1, 5)
+        elif kind == 1 and flow:
+            taken = rng.choice(sorted(flow))
+            flow[taken] -= rng.randint(1, 5)
+        elif kind == 2:
+            flow[key] = 0
+        elif kind == 3:
+            flow[key] = -rng.randint(1, 5)
+        elif kind == 4:
+            node = rng.choice(net.nodes)
+            into = [e for e in net.edges if e.head == node]
+            out = [e for e in net.edges if e.tail == node]
+            if into and out:
+                units = rng.randint(1, 5)
+                for e in (rng.choice(into), rng.choice(out)):
+                    flow[com.index, e.id] = flow.get((com.index, e.id), 0) + units
+        elif kind == 5:
+            ends = [e for e in net.edges if e.head == com.source or e.tail == com.sink]
+            if ends:
+                e = rng.choice(ends)
+                flow[com.index, e.id] = flow.get((com.index, e.id), 0) + rng.randint(1, 5)
+        elif kind == 6:
+            values[com.index] = values.get(com.index, 0) + rng.choice((-2, -1, 1, 2))
+        else:
+            total += rng.choice((-1, 1))
+            if shipments and rng.random() < 0.5:
+                shipments.pop(rng.randrange(len(shipments)))
+    return dataclasses.replace(
+        assignment,
+        shipments=shipments,
+        edge_flow=flow,
+        per_commodity_value=values,
+        total_value=total,
+    )
+
+
+def reference_validate_assignment(net: Network, assignment) -> list[str]:
+    """The conservation check validate_assignment replaced, kept unchanged
+    as its reference: every (commodity, node) pair is visited, with inflow
+    and outflow summed separately.  Costs O(K*V + E + flow entries)."""
+    _check_references(net, assignment)
+    violations: list[str] = []
+    used = [0] * len(net.edges)
+    inflow: dict[tuple[int, str], int] = {}
+    outflow: dict[tuple[int, str], int] = {}
+    for (commodity_index, eid), units in assignment.edge_flow.items():
+        if units < 0:
+            violations.append(
+                f"commodity {commodity_index}, edge {eid}: negative flow {units}"
+            )
+        edge = net.edges[eid]
+        used[eid] += units
+        head = (commodity_index, edge.head)
+        tail = (commodity_index, edge.tail)
+        inflow[head] = inflow.get(head, 0) + units
+        outflow[tail] = outflow.get(tail, 0) + units
+    for edge in net.edges:
+        if used[edge.id] > edge.capacity:
+            violations.append(
+                f"edge {edge.id} ({edge.tail}->{edge.head}):"
+                f" total flow {used[edge.id]} exceeds capacity {edge.capacity}"
+            )
+    for com in net.commodities:
+        for node in net.nodes:
+            if node in (com.source, com.sink):
+                continue
+            node_in = inflow.get((com.index, node), 0)
+            node_out = outflow.get((com.index, node), 0)
+            if node_in != node_out:
+                violations.append(
+                    f"commodity {com.index}, node {node}:"
+                    f" inflow {node_in} != outflow {node_out}"
+                )
+        source = (com.index, com.source)
+        net_out = outflow.get(source, 0) - inflow.get(source, 0)
+        declared = assignment.per_commodity_value.get(com.index, 0)
+        if net_out != declared:
+            violations.append(
+                f"commodity {com.index}: declared value {declared}"
+                f" != net source outflow {net_out}"
+            )
+    shipped = sum(amount for _, amount in assignment.shipments)
+    if assignment.total_value != shipped:
+        violations.append(
+            f"total {assignment.total_value} != shipment sum {shipped}"
+        )
+    split = sum(assignment.per_commodity_value.values())
+    if assignment.total_value != split:
+        violations.append(
+            f"total {assignment.total_value} != per-commodity sum {split}"
+        )
+    return violations
+
+
+def reference_export_dot(net: Network, assignment) -> str:
+    """The DOT export with an assignment as export_dot wrote it before it
+    grouped edge_flow by edge, kept as its reference: each edge's total and
+    carriers are looked up per (commodity, edge), in commodity order."""
+    _check_references(net, assignment)
+    lines = ["digraph network {", "  rankdir=LR;", "  node [shape=circle, fontsize=11];"]
+    for com in net.commodities:
+        lines.append(
+            f"  // commodity {com.index}: {com.source} -> {com.sink}"
+            f" [{_commodity_color(com.index)}]"
+        )
+    for name in net.nodes:
+        lines.append(f"  {_dot_quote(name)};")
+    for edge in net.edges:
+        total = sum(
+            assignment.edge_flow.get((com.index, edge.id), 0)
+            for com in net.commodities
+        )
+        carriers = [
+            com.index
+            for com in net.commodities
+            if assignment.edge_flow.get((com.index, edge.id), 0) > 0
+        ]
+        color = ":".join(_commodity_color(i) for i in carriers) or "gray"
+        attrs = f'label="{total}/{edge.capacity}", color="{color}"'
+        lines.append(f"  {_dot_quote(edge.tail)} -> {_dot_quote(edge.head)} [{attrs}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def reference_optimal_value(

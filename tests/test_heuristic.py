@@ -8,15 +8,20 @@ from hypothesis import strategies as st
 
 from helpers import (
     audit_tables,
+    corrupt_assignment,
     direct_inclusion_exclusion,
     full_scan_greedy,
+    multicommodity_networks,
     networks,
     random_network,
+    reference_validate_assignment,
 )
 from mcflow import (
     Assignment,
+    Commodity,
     Cut,
     Edge,
+    Network,
     build_tables,
     greedy_solve,
     inclusion_exclusion_bound,
@@ -195,6 +200,51 @@ class TestValidateAssignment:
         a = Assignment([], [], {(1, 99): 1}, {}, 1)
         with pytest.raises(ValueError, match="unknown edge"):
             validate_assignment(golden_net, a)
+
+
+class TestValidateAssignmentMatchesReference:
+    """validate_assignment visits only the (commodity, node) pairs the flow
+    touches; the reference visits every pair.  Their message lists must be
+    equal, order included."""
+
+    def test_seeded_corrupted_assignments(self):
+        rng = random.Random(1313)
+        cases = with_violations = several_commodities = 0
+        for net in multicommodity_networks(rng, 260):
+            clean = greedy_solve(build_tables(net))
+            assert validate_assignment(net, clean) == reference_validate_assignment(net, clean) == []
+            for _ in range(20):
+                a = corrupt_assignment(net, clean, rng)
+                expected = reference_validate_assignment(net, a)
+                assert validate_assignment(net, a) == expected
+                cases += 1
+                with_violations += bool(expected)
+                named = {m.split(",")[0].split(":")[0] for m in expected if m.startswith("commodity")}
+                several_commodities += len(named) >= 2
+        assert cases >= 5000
+        assert with_violations > cases // 2
+        assert several_commodities >= 500
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [("s", "a", "t"), ("s", "a", "t", "a")],
+        ids=["undeclared_node", "duplicate_node"],
+    )
+    def test_hand_built_network(self, nodes):
+        # Edge 1 ends at "x", which no node line declares: the reference
+        # never reports it, and the checker must not raise on it.  A node
+        # listed twice is reported twice, as the reference does.
+        edges = (
+            Edge(0, "s", "a", 5),
+            Edge(1, "a", "x", 5),
+            Edge(2, "x", "t", 5),
+            Edge(3, "a", "t", 5),
+        )
+        net = Network(nodes, edges, (Commodity(1, "s", "t"), Commodity(2, "a", "t")))
+        for flow in ({(1, 0): 5, (1, 1): 5}, {(1, 0): 4, (1, 3): 3, (2, 1): 2}, {(2, 2): 1}):
+            a = Assignment([], [], flow, {1: 5, 2: 0}, 5)
+            expected = reference_validate_assignment(net, a)
+            assert validate_assignment(net, a) == expected
 
 
 def _cut(edges):

@@ -1,17 +1,26 @@
 """Parsing, validation, rendering round-trips, and DOT export."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import networks
+from helpers import (
+    corrupt_assignment,
+    multicommodity_networks,
+    networks,
+    reference_export_dot,
+)
 from mcflow import (
     Assignment,
     Commodity,
     Edge,
     Network,
     NetworkParseError,
+    build_tables,
     export_dot,
+    greedy_solve,
     parse_network,
     path_nodes,
     render_network,
@@ -238,3 +247,12 @@ class TestExportDot:
 
     def test_deterministic(self, golden_net):
         assert export_dot(golden_net) == export_dot(golden_net)
+
+    def test_matches_reference_on_seeded_assignments(self):
+        # Greedy results and corrupted copies of them, with zero and
+        # negative entries among the faults.
+        rng = random.Random(1331)
+        for net in multicommodity_networks(rng, 120, min_commodities=2):
+            clean = greedy_solve(build_tables(net))
+            for a in [clean] + [corrupt_assignment(net, clean, rng) for _ in range(10)]:
+                assert export_dot(net, a) == reference_export_dot(net, a)
