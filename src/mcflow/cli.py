@@ -159,26 +159,24 @@ def _cmd_maxflow(net: Network, com: Commodity, structured: bool) -> int:
 
 
 def _cmd_tables(net: Network, structured: bool) -> int:
+    """Print freshly built tables: residuals are still the capacities,
+    every path is active and keeps its color on every edge it uses."""
     tables = build_tables(net)
+    bottleneck = [min(net.edges[eid].capacity for eid in p.edges) for p in tables.paths]
     if structured:
-        records: list[tuple] = []
-        for edge in net.edges:
-            for cid in sorted(tables.edge_colors[edge.id]):
-                records.append(("edge_color", edge.id, color_name(cid)))
-        records += [
-            ("edge_residual", e.id, tables.edge_residual[e.id]) for e in net.edges
+        records: list[tuple] = [
+            ("edge_color", e.id, color_name(p)) for e in net.edges for p in tables.edge_paths[e.id]
         ]
+        records += [("edge_residual", e.id, e.capacity) for e in net.edges]
         for path in tables.paths:
             for eid in path.edges:
                 records.append(("path_edge", path.label, eid, net.edges[eid].capacity))
-        for position, path in enumerate(tables.paths):
-            records.append(("path_bottleneck", path.label, tables.path_bottleneck[position]))
-        for position, path in enumerate(tables.paths):
-            records.append(
-                ("path_color_count", path.label, tables.path_color_count[position])
-            )
-        for position, path in enumerate(tables.paths):
-            records.append(("path_status", path.label, tables.path_status[position]))
+        records += [("path_bottleneck", p.label, n) for p, n in zip(tables.paths, bottleneck)]
+        records += [
+            ("path_color_count", p.label, n)
+            for p, n in zip(tables.paths, tables.path_color_count)
+        ]
+        records += [("path_status", p.label, "active") for p in tables.paths]
         for com in net.commodities:
             cut = tables.cuts[com.index]
             records.append(("cut", com.index, cut.capacity))
@@ -192,22 +190,22 @@ def _cmd_tables(net: Network, structured: bool) -> int:
         width = max((len(label) for label in edge_label.values()), default=0)
         print("EDGE COLORS")
         for e in net.edges:
-            names = " ".join(color_name(p) for p in sorted(tables.edge_colors[e.id]))
+            names = " ".join(color_name(p) for p in tables.edge_paths[e.id])
             print(f"  {edge_label[e.id]:<{width}} | {names}")
         print("EDGE RESIDUAL CAPACITY")
         for e in net.edges:
-            print(f"  {edge_label[e.id]:<{width}} | {tables.edge_residual[e.id]}")
+            print(f"  {edge_label[e.id]:<{width}} | {e.capacity}")
         print("PATH RECORD")
-        for position, path in enumerate(tables.paths):
+        for path in tables.paths:
             edges = (net.edges[eid] for eid in path.edges)
             entry = " ".join(f"{e.tail}->{e.head}({e.capacity})" for e in edges)
-            print(f"  {path.label} [{tables.path_status[position]}] | {entry}")
+            print(f"  {path.label} [active] | {entry}")
         print("PATH BOTTLENECK")
-        for position, path in enumerate(tables.paths):
-            print(f"  {path.label} | {tables.path_bottleneck[position]}")
+        for path, n in zip(tables.paths, bottleneck):
+            print(f"  {path.label} | {n}")
         print("PATH COLOR COUNT")
-        for position, path in enumerate(tables.paths):
-            print(f"  {path.label} | {tables.path_color_count[position]}")
+        for path, n in zip(tables.paths, tables.path_color_count):
+            print(f"  {path.label} | {n}")
         print("MIN CUTS")
         for com in net.commodities:
             cut = tables.cuts[com.index]
@@ -219,13 +217,12 @@ def _cmd_tables(net: Network, structured: bool) -> int:
 def _cmd_solve(net: Network, structured: bool) -> int:
     tables = build_tables(net)
     bounds = upper_bounds(tables)
-    initial_counts = [
-        (path.label, tables.path_color_count[position])
-        for position, path in enumerate(tables.paths)
-    ]
     assignment = greedy_solve(tables)
     if structured:
-        records: list[tuple] = [("color_count", label, n) for label, n in initial_counts]
+        records: list[tuple] = [
+            ("color_count", path.label, n)
+            for path, n in zip(tables.paths, tables.path_color_count)
+        ]
         records += [
             ("shipment", path.label, amount, render_path(net, path.edges))
             for path, amount in assignment.shipments
@@ -244,8 +241,8 @@ def _cmd_solve(net: Network, structured: bool) -> int:
         print(_rows(records))
     else:
         print("color counts:")
-        for label, n in initial_counts:
-            print(f"  {label}: {n}")
+        for path, n in zip(tables.paths, tables.path_color_count):
+            print(f"  {path.label}: {n}")
         print("shipments (in order):")
         for position, (path, amount) in enumerate(assignment.shipments, start=1):
             print(f"  {position}. {path.label} {render_path(net, path.edges)} amount {amount}")

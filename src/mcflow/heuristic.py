@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .maxflow import ColoredPath, Cut
 from .netmodel import Network, _check_references
-from .tables import ACTIVE, FlowTables, ship_position
+from .tables import FlowTables
 
 __all__ = [
     "Assignment",
@@ -48,20 +48,27 @@ class Assignment:
 def greedy_solve(tables: FlowTables) -> Assignment:
     """Ship paths in minimum-color-count order until none stay active.
 
-    Requires freshly built tables (every path active).  Feasible by
-    construction: each shipment moves exactly the path's current residual
-    bottleneck.  The next path comes off a heap keyed by (color count,
-    position); positions run in (commodity, ordinal) order, which breaks
-    the ties.  A path whose count changes is pushed again; counts only
-    ever fall, so its fresher, smaller key pops first and ships or
-    discards the path.  Every entry popped for a still active path
-    therefore carries its current count, and the rest are skipped.
+    Reads the tables and changes nothing in them: residuals, statuses and
+    live color counts are its own.  Shipping a path moves its smallest
+    residual along every one of its edges, so the result is feasible by
+    construction.  Each active path sharing a shipped edge that is left
+    with a zero-residual edge is then discarded and its color stripped
+    from its edges; the active paths sharing an edge with a discarded one
+    are recounted.  A shipped path keeps its color.
+
+    The next path comes off a heap keyed by (color count, position);
+    positions run in (commodity, ordinal) order, which breaks the ties.  A
+    path whose count changes is pushed again; counts only ever fall, so
+    its fresher, smaller key pops first and ships the path.  Every entry
+    popped for a still active path therefore carries its current count,
+    and the rest are skipped.
     """
-    status = tables.path_status
-    if any(s != ACTIVE for s in status):
-        raise ValueError("greedy_solve requires freshly built tables")
     paths = tables.paths
-    counts = tables.path_color_count
+    edge_paths = tables.edge_paths
+    residual = [e.capacity for e in tables.network.edges]
+    active = [True] * len(paths)
+    colors = [set(positions) for positions in edge_paths]
+    counts = list(tables.path_color_count)
     shipments: list[tuple[ColoredPath, int]] = []
     discarded: list[ColoredPath] = []
     edge_flow: dict[tuple[int, int], int] = {}
@@ -70,21 +77,36 @@ def greedy_solve(tables: FlowTables) -> Assignment:
     heapq.heapify(heap)
     while heap:
         count, position = heapq.heappop(heap)
-        if status[position] != ACTIVE:
+        if not active[position]:
             continue
         assert count == counts[position], "stale heap entry for an active path"
-        amount = tables.path_bottleneck[position]
-        dropped, recounted = ship_position(tables, position, amount)
         choice = paths[position]
+        amount = min(residual[eid] for eid in choice.edges)
+        active[position] = False
         shipments.append((choice, amount))
         per_commodity[choice.commodity] += amount
         for eid in choice.edges:
+            residual[eid] -= amount
             key = (choice.commodity, eid)
             edge_flow[key] = edge_flow.get(key, 0) + amount
-        discarded.extend(paths[p] for p in dropped)
-        for p in recounted:
-            if status[p] == ACTIVE:
-                heapq.heappush(heap, (counts[p], p))
+        # Active paths have no zero-residual edge before this shipment, and
+        # only the shipped edges changed, so only paths sharing them can drop.
+        dropped = [
+            p
+            for p in sorted({p for eid in choice.edges for p in edge_paths[eid]})
+            if active[p] and any(residual[eid] == 0 for eid in paths[p].edges)
+        ]
+        for p in dropped:
+            active[p] = False
+            discarded.append(paths[p])
+            for eid in paths[p].edges:
+                colors[eid].discard(p)
+        for p in {q for d in dropped for eid in paths[d].edges for q in edge_paths[eid]}:
+            if active[p]:
+                count = len(set().union(*(colors[eid] for eid in paths[p].edges)))
+                if count != counts[p]:
+                    counts[p] = count
+                    heapq.heappush(heap, (count, p))
     total = sum(amount for _, amount in shipments)
     return Assignment(shipments, discarded, edge_flow, per_commodity, total)
 

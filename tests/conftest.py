@@ -8,11 +8,17 @@ from mcflow import parse_network
 DATA = pathlib.Path(__file__).parent / "data"
 
 # Wall-clock limits per test, in seconds.  A test that hangs (a max flow
-# that never ends, say) fails with TimeoutError instead of stalling the
-# suite.  Tests marked `slow` (the oracle sweep, about 25 s) get the
+# that never ends, say) fails with TimeLimitExceeded instead of stalling
+# the suite.  Tests marked `slow` (the oracle sweep, about 25 s) get the
 # larger limit; every other test runs in a few seconds.
 TIME_LIMIT_S = 60
 SLOW_TIME_LIMIT_S = 900
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran past its limit.  Not an Exception, so that nothing which
+    catches Exception (Hypothesis replaying a failing example, say) can
+    swallow it and run the hanging code again with no alarm left."""
 
 
 @pytest.fixture(autouse=True)
@@ -21,7 +27,7 @@ def time_limit(request):
     limit = SLOW_TIME_LIMIT_S if slow else TIME_LIMIT_S
 
     def expire(signum, frame):
-        raise TimeoutError(f"test ran past its {limit} s limit")
+        raise TimeLimitExceeded(f"test ran past its {limit} s limit")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(limit)

@@ -16,10 +16,8 @@ from typing import NamedTuple, Sequence
 from hypothesis import strategies as st
 
 from mcflow import (
-    ACTIVE,
     DEFAULT_MAX_CANDIDATES,
     DEFAULT_MAX_PATHS,
-    DISCARDED,
     ColoredPath,
     Commodity,
     Cut,
@@ -28,12 +26,10 @@ from mcflow import (
     Network,
     OracleLimitError,
     OracleResult,
-    FlowTables,
     enumerate_paths,
     path_nodes,
 )
 from mcflow.netmodel import _check_references, _commodity_color, _dot_quote
-from mcflow.tables import ship_position
 
 
 def random_network(rng, max_nodes=8, max_edges=16, max_cap=10, commodity_range=(1, 1)):
@@ -335,73 +331,64 @@ def reference_decompose_cut_paths(net: Network, f: FlowState) -> list[ColoredPat
     return paths
 
 
-def audit_tables(tables: FlowTables) -> list[str]:
-    """Cross-check every table column against its defining rule; [] when
-    clean.  Each column is recomputed from the paths, their statuses and
-    the residuals, without the incremental updates ship_position makes."""
+def audit_tables(tables) -> list[str]:
+    """Cross-check the tables' per-edge and per-path columns against their
+    defining rule, recomputed from the paths; [] when clean."""
     problems: list[str] = []
-    net = tables.network
-    expected_colors: list[set[int]] = [set() for _ in net.edges]
-    expected_paths: list[list[int]] = [[] for _ in net.edges]
+    expected_paths: list[list[int]] = [[] for _ in tables.network.edges]
     for position, path in enumerate(tables.paths):
         for eid in path.edges:
             expected_paths[eid].append(position)
-            if tables.path_status[position] != DISCARDED:
-                expected_colors[eid].add(position)
-    for edge in net.edges:
-        if tables.edge_colors[edge.id] != expected_colors[edge.id]:
-            problems.append(f"edge {edge.id}: color set out of sync")
-        if tables.edge_paths[edge.id] != expected_paths[edge.id]:
+    for edge in tables.network.edges:
+        if list(tables.edge_paths[edge.id]) != expected_paths[edge.id]:
             problems.append(f"edge {edge.id}: path index out of sync")
-        residual = tables.edge_residual[edge.id]
-        if not 0 <= residual <= edge.capacity:
-            problems.append(
-                f"edge {edge.id}: residual {residual} outside [0, {edge.capacity}]"
-            )
     for position, path in enumerate(tables.paths):
-        bottleneck = min(tables.edge_residual[eid] for eid in path.edges)
-        if tables.path_bottleneck[position] != bottleneck:
-            problems.append(f"{path.label}: bottleneck column out of sync")
-        union: set[int] = set().union(*(tables.edge_colors[eid] for eid in path.edges))
-        if tables.path_color_count[position] != len(union):
+        colors = {p for eid in path.edges for p in expected_paths[eid]}
+        if tables.path_color_count[position] != len(colors):
             problems.append(f"{path.label}: color count column out of sync")
-        if tables.path_status[position] == ACTIVE and position not in union:
-            problems.append(f"{path.label}: active path lost its own color")
     return problems
 
 
-def full_scan_greedy(tables: FlowTables, after_step=None):
-    """Reference selection rule: the minimum over every active path by
-    (color count, commodity, ordinal), shipped through ship_position, with
-    the discards of each step collected by a scan of all paths.
+def full_scan_greedy(net: Network, paths: Sequence[ColoredPath]):
+    """Reference selection rule over `paths`, rebuilt from scratch at every
+    step from this function's own statuses: residuals from the shipments so
+    far, each edge's colors from the paths not discarded, and from those
+    every path's color count and bottleneck.  The active path with the
+    smallest (color count, commodity, ordinal) ships its bottleneck; then
+    every active path left with a zero-residual edge is discarded.
 
     Returns the shipments as (position, amount), the discarded positions
     in discard order, and the per-(commodity, edge) flow.
     """
-    paths = tables.paths
-    status = tables.path_status
+    status = ["active"] * len(paths)
     shipments, discarded, edge_flow = [], [], {}
-    recorded = set()
-    while True:
-        active = [p for p in range(len(paths)) if status[p] == ACTIVE]
-        if not active:
-            break
+    while "active" in status:
+        residual = {e.id: e.capacity for e in net.edges}
+        for position, amount in shipments:
+            for eid in paths[position].edges:
+                residual[eid] -= amount
+        colors = {e.id: set() for e in net.edges}
+        for position, path in enumerate(paths):
+            if status[position] != "discarded":
+                for eid in path.edges:
+                    colors[eid].add(position)
+        count = [len(set().union(*(colors[eid] for eid in p.edges))) for p in paths]
+        bottleneck = [min(residual[eid] for eid in p.edges) for p in paths]
         choice = min(
-            active,
-            key=lambda p: (tables.path_color_count[p], paths[p].commodity, paths[p].ordinal),
+            (p for p in range(len(paths)) if status[p] == "active"),
+            key=lambda p: (count[p], paths[p].commodity, paths[p].ordinal),
         )
-        amount = tables.path_bottleneck[choice]
-        ship_position(tables, choice, amount)
+        amount = bottleneck[choice]
+        status[choice] = "used"
         shipments.append((choice, amount))
-        commodity = paths[choice].commodity
         for eid in paths[choice].edges:
-            edge_flow[(commodity, eid)] = edge_flow.get((commodity, eid), 0) + amount
-        for p in range(len(paths)):
-            if status[p] == DISCARDED and p not in recorded:
-                recorded.add(p)
-                discarded.append(p)
-        if after_step is not None:
-            after_step(tables)
+            residual[eid] -= amount
+            key = (paths[choice].commodity, eid)
+            edge_flow[key] = edge_flow.get(key, 0) + amount
+        for position, path in enumerate(paths):
+            if status[position] == "active" and any(residual[eid] == 0 for eid in path.edges):
+                status[position] = "discarded"
+                discarded.append(position)
     return shipments, discarded, edge_flow
 
 

@@ -1,0 +1,131 @@
+"""Byte contract for the CLI: every recorded (input, argv) case must print
+exactly what it printed when the digests were recorded.
+
+Each case hashes stdout, stderr and the exit code with sha256 (stored in
+unpadded URL-safe base64 to keep the file small).  The inputs
+are the fixtures under data/, the networks under counterexamples/ and a
+seeded corpus from the helpers' generators; the recorded digests live in
+data/cli_bytes.sha256.  A refactor that keeps every output the same keeps
+this test passing unchanged.  After a deliberate output change, rerun
+
+    PYTHONPATH=src python tests/test_cli_bytes.py
+
+to rewrite the digest file, and say in the change which cases moved.
+"""
+
+from __future__ import annotations
+
+import base64
+import contextlib
+import hashlib
+import io
+import random
+from pathlib import Path
+
+from helpers import random_network, regular_network
+from mcflow import parse_network
+from mcflow.cli import run
+
+HERE = Path(__file__).parent
+DIGESTS = HERE / "data" / "cli_bytes.sha256"
+MAX_CANDIDATES = "777"
+# Inputs this small also go through the exhaustive oracle.
+SMALL_EDGES = 16
+SMALL_COMMODITIES = 3
+
+
+def _text(net) -> str:
+    lines = [f"node {v}" for v in net.nodes]
+    lines += [f"edge {e.tail} {e.head} {e.capacity}" for e in net.edges]
+    lines += [f"commodity {c.source} {c.sink}" for c in net.commodities]
+    return "\n".join(lines) + "\n"
+
+
+def _inputs() -> list[tuple[str, str]]:
+    """(name, network text): fixtures, counterexamples, seeded corpus."""
+    named = [(p.stem, p.read_text()) for p in sorted((HERE / "data").glob("*.net"))]
+    named += [(p.stem, p.read_text()) for p in sorted((HERE / "counterexamples").glob("*.net"))]
+    rng = random.Random(1414)
+    for i in range(28):
+        net = random_network(rng, max_nodes=8, max_edges=16, commodity_range=(1, 3))
+        named.append((f"r{i:02d}", _text(net)))
+    for i in range(28):
+        commodities = 12 if i == 27 else rng.randint(1, 4)
+        net = regular_network(rng, rng.randint(5, 14), rng.randint(2, 3), commodities)
+        named.append((f"g{i:02d}", _text(net)))
+    return named
+
+
+def _commands(text: str) -> list[list[str]]:
+    """Every argv, minus the input path, that the contract runs on `text`."""
+    commands = [["validate"], ["tables"], ["solve"], ["export"], ["export", "--assignment"]]
+    try:
+        net = parse_network(text)
+    except ValueError:
+        net = None
+    if net is None or len(net.commodities) <= 12:
+        commands.append(["bound"])
+    if net is not None:
+        commands += [["maxflow", "--commodity", str(c.index)] for c in net.commodities]
+    if net is None or (len(net.edges) <= SMALL_EDGES and len(net.commodities) <= SMALL_COMMODITIES):
+        commands += [
+            ["oracle", "--max-candidates", MAX_CANDIDATES],
+            ["gap", "--max-candidates", MAX_CANDIDATES],
+        ]
+    return [argv + [style] for argv in commands for style in ("human", "structured")]
+
+
+def _digest(argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    blob = f"{code}\0{out.getvalue()}\0{err.getvalue()}"
+    digest = hashlib.sha256(blob.encode("utf-8")).digest()
+    return base64.urlsafe_b64encode(digest).decode("ascii").rstrip("=")
+
+
+def compute(workdir: Path) -> dict[str, str]:
+    """Case name -> digest, running every case in-process on files under
+    `workdir` (outputs never name the input path)."""
+    digests: dict[str, str] = {}
+    for name, text in _inputs():
+        path = workdir / f"{name}.net"
+        path.write_text(text, encoding="utf-8")
+        for *argv, style in _commands(text):
+            command, *options = argv
+            run_argv = [command, str(path), *options, "--format", style]
+            digests[" ".join([name, *argv, style])] = _digest(run_argv)
+    return digests
+
+
+def recorded() -> dict[str, str]:
+    cases: dict[str, str] = {}
+    for line in DIGESTS.read_text().splitlines():
+        case, digest = line.rsplit(" ", 1)
+        cases[case] = digest
+    return cases
+
+
+def test_every_case_prints_its_recorded_bytes(tmp_path):
+    want = recorded()
+    got = compute(tmp_path)
+    missing = sorted(set(want) - set(got))
+    extra = sorted(set(got) - set(want))
+    changed = [case for case in want if case in got and got[case] != want[case]]
+    assert not missing, f"{len(missing)} recorded cases no longer run: {missing[:10]}"
+    assert not extra, f"{len(extra)} cases have no recorded digest: {extra[:10]}"
+    assert not changed, f"{len(changed)} cases print different bytes: {changed[:10]}"
+
+
+def test_contract_covers_every_command():
+    commands = {case.split(" ")[1] for case in recorded()}
+    assert commands == {"validate", "tables", "solve", "bound", "maxflow", "oracle", "gap", "export"}
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch:
+        cases = compute(Path(scratch))
+    DIGESTS.write_text("".join(f"{case} {digest}\n" for case, digest in cases.items()))
+    print(f"recorded {len(cases)} cases in {DIGESTS}")

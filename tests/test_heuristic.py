@@ -1,5 +1,7 @@
 """Greedy selection, assignment validation, and capacity upper bounds."""
 
+import copy
+import dataclasses
 import random
 
 import pytest
@@ -7,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    audit_tables,
     corrupt_assignment,
     direct_inclusion_exclusion,
     full_scan_greedy,
@@ -72,11 +73,13 @@ class TestGreedySolve:
         assert a.shipments == [] and a.total_value == 0
         assert a.per_commodity_value == {1: 0}
 
-    def test_requires_fresh_tables(self, golden_text):
+    def test_twice_on_same_tables(self, golden_text):
         t = build_tables(parse_network(golden_text))
-        greedy_solve(t)
-        with pytest.raises(ValueError, match="freshly built"):
-            greedy_solve(t)
+        before = copy.deepcopy(t)
+        assert greedy_solve(t) == greedy_solve(t)
+        assert t == before
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.paths = ()
 
     def test_deterministic_across_runs(self, golden_text):
         runs = []
@@ -108,16 +111,23 @@ class TestGreedySolve:
 
 
 class TestGreedyMatchesFullScan:
+    @staticmethod
+    def assert_matches(net):
+        """greedy_solve agrees with the full-scan reference on `net`;
+        returns the number of shipments."""
+        tables = build_tables(net)
+        shipments, discarded, edge_flow = full_scan_greedy(net, tables.paths)
+        got = greedy_solve(tables)
+        paths = tables.paths
+        assert got.shipments == [(paths[p], amount) for p, amount in shipments]
+        assert got.discarded == [paths[p] for p in discarded]
+        assert got.edge_flow == edge_flow
+        return len(shipments)
+
     def test_seeded_corpus_up_to_twelve_commodities(self):
         rng = random.Random(3131)
         steps = 0
         sizes = set()
-
-        def audit(tables):
-            nonlocal steps
-            steps += 1
-            assert audit_tables(tables) == []
-
         for _ in range(80):
             net = random_network(
                 rng,
@@ -127,27 +137,20 @@ class TestGreedyMatchesFullScan:
                 commodity_range=(1, 12),
             )
             sizes.add(len(net.commodities))
-            want = full_scan_greedy(build_tables(net), after_step=audit)
-            tables = build_tables(net)
-            got = greedy_solve(tables)
-            paths = tables.paths
-            assert got.shipments == [(paths[p], amount) for p, amount in want[0]]
-            assert got.discarded == [paths[p] for p in want[1]]
-            assert got.edge_flow == want[2]
-            assert audit_tables(tables) == []
+            steps += self.assert_matches(net)
+        # Denser networks, where whether a shipped path keeps its color
+        # changes the order of later shipments.
+        for net in multicommodity_networks(random.Random(3132), 40, min_commodities=2):
+            steps += self.assert_matches(net)
         assert steps > 300
         assert 12 in sizes
 
     def test_golden_matches_full_scan(self, golden_text):
         net = parse_network(golden_text)
-        shipments, discarded, edge_flow = full_scan_greedy(build_tables(net))
+        shipments, discarded, edge_flow = full_scan_greedy(net, build_tables(net).paths)
         assert shipments == [(0, 5), (2, 10), (3, 10)]
         assert discarded == [1]
-        tables = build_tables(net)
-        got = greedy_solve(tables)
-        assert got.shipments == [(tables.paths[p], amount) for p, amount in shipments]
-        assert got.discarded == [tables.paths[p] for p in discarded]
-        assert got.edge_flow == edge_flow
+        self.assert_matches(net)
 
 
 class TestValidateAssignment:

@@ -232,10 +232,10 @@ class TestMatchesReference:
 
 def capacity_catalog(net, paths):
     """The same paths, each with its bottleneck set to its smallest capacity."""
-    return [
+    return tuple(
         dataclasses.replace(p, bottleneck=min(net.edges[e].capacity for e in p.edges))
         for p in paths
-    ]
+    )
 
 
 def search_fields(result):

@@ -1,5 +1,7 @@
-"""Flow table construction, shipment bookkeeping, and audit invariants."""
+"""Flow table construction, shipments as greedy makes them, and audit
+invariants."""
 
+import dataclasses
 import random
 
 import pytest
@@ -7,19 +9,30 @@ from hypothesis import given, settings
 
 from helpers import audit_tables, networks, random_network
 from mcflow import (
-    ACTIVE,
-    DISCARDED,
-    USED,
     COLOR_NAMES,
     build_tables,
     color_name,
+    greedy_solve,
     parse_network,
 )
-from mcflow.tables import ship_position
+
+
+# Two commodities whose greedy run discards a path and recounts another.
+CASCADE = (
+    "node v0\nnode v1\nnode v2\n"
+    "edge v1 v2 1\nedge v1 v2 3\nedge v2 v0 2\nedge v0 v1 2\n"
+    "commodity v0 v2\ncommodity v1 v2\n"
+)
 
 
 def fresh_golden(golden_text):
     return build_tables(parse_network(golden_text))
+
+
+def outcome(text):
+    """Shipments as (label, amount) and discarded labels of a greedy run."""
+    a = greedy_solve(build_tables(parse_network(text)))
+    return [(p.label, amount) for p, amount in a.shipments], [p.label for p in a.discarded]
 
 
 class TestBuildTables:
@@ -33,9 +46,9 @@ class TestBuildTables:
         ]
 
     def test_golden_edge_colors(self, golden_text):
+        # Every path owns its color, so an edge's colors are its paths.
         t = fresh_golden(golden_text)
-        assert t.edge_colors == [{0}, {1, 2}, {1}, {1, 3}, {2}, {2}, {3}, {3}]
-        named = [sorted(color_name(p) for p in cell) for cell in t.edge_colors]
+        named = [sorted(color_name(p) for p in cell) for cell in t.edge_paths]
         assert named == [
             ["Violet"],
             ["Green", "Red"],
@@ -48,13 +61,15 @@ class TestBuildTables:
         ]
 
     def test_golden_residuals_start_at_capacity(self, golden_text):
+        # The first shipment moves its path's smallest capacity.
         t = fresh_golden(golden_text)
-        assert t.edge_residual == [e.capacity for e in t.network.edges]
+        first, amount = greedy_solve(t).shipments[0]
+        assert amount == min(t.network.edges[eid].capacity for eid in first.edges) == 5
 
     def test_golden_bottlenecks_and_color_counts(self, golden_text):
         t = fresh_golden(golden_text)
-        assert t.path_bottleneck == [5, 10, 10, 10]
-        assert t.path_color_count == [1, 3, 2, 2]
+        assert t.path_color_count == (1, 3, 2, 2)
+        assert [amount for _, amount in greedy_solve(t).shipments] == [5, 10, 10]
 
     def test_golden_cuts_and_values(self, golden_text):
         t = fresh_golden(golden_text)
@@ -69,8 +84,8 @@ class TestBuildTables:
 
     def test_disjoint_counts_all_one(self, disjoint_net):
         t = build_tables(disjoint_net)
-        assert t.path_color_count == [1, 1]
-        assert t.path_bottleneck == [4, 6]
+        assert t.path_color_count == (1, 1)
+        assert [p.bottleneck for p in t.paths] == [4, 6]
         assert t.commodity_value == {1: 4, 2: 6}
 
     def test_invalid_network_rejected(self):
@@ -89,19 +104,19 @@ class TestBuildTables:
             "node s\nnode t\nedge s t 0\nedge t s 1\ncommodity s t\n"
         )
         t = build_tables(net)
-        assert t.paths == []
+        assert t.paths == ()
+        assert t.edge_paths == ((), ())
         assert t.commodity_value == {1: 0}
         assert audit_tables(t) == []
 
     def test_golden_indexes(self, golden_text):
         t = fresh_golden(golden_text)
         assert [(p.commodity, p.ordinal) for p in t.paths] == [(1, 1), (1, 2), (2, 1), (2, 2)]
-        assert t.edge_paths == [[0], [1, 2], [1], [1, 3], [2], [2], [3], [3]]
-        assert t.path_status == [ACTIVE] * 4
+        assert t.edge_paths == ((0,), (1, 2), (1,), (1, 3), (2,), (2,), (3,), (3,))
 
     def test_color_ids_are_dense_and_distinct(self, golden_text):
         t = fresh_golden(golden_text)
-        assert set().union(*t.edge_colors) == set(range(4))
+        assert set().union(*t.edge_paths) == set(range(4))
         assert len({color_name(p) for p in range(4)}) == 4
         assert color_name(len(COLOR_NAMES)) == f"Color{len(COLOR_NAMES) + 1}"
 
@@ -116,7 +131,7 @@ class TestColorCount:
     def test_golden_lookup(self, golden_text):
         t = fresh_golden(golden_text)
         names = [
-            {color_name(c) for eid in p.edges for c in t.edge_colors[eid]} for p in t.paths
+            {color_name(c) for eid in p.edges for c in t.edge_paths[eid]} for p in t.paths
         ]
         assert names == [
             {"Violet"},
@@ -124,143 +139,113 @@ class TestColorCount:
             {"Red", "Green"},
             {"Red", "Yellow"},
         ]
-        assert t.path_color_count == [len(n) for n in names]
-
-    def test_unknown_path_rejected(self, golden_text):
-        t = fresh_golden(golden_text)
-        with pytest.raises(IndexError):
-            ship_position(t, len(t.paths), 1)
+        assert t.path_color_count == tuple(len(n) for n in names)
 
 
 class TestApplyShipment:
-    """Shipments through ship_position, the tables' only mutation."""
+    """Shipments as greedy_solve makes them, read off its outcome."""
 
-    def test_ship_direct_path_no_discards(self, golden_text):
-        t = fresh_golden(golden_text)
-        assert ship_position(t, 0, 5) == ([], [])
-        assert t.edge_residual[0] == 0
-        assert t.path_status == [USED, ACTIVE, ACTIVE, ACTIVE]
-        # the direct edge carried no other color, so nothing else changed
-        assert t.path_color_count == [1, 3, 2, 2]
-        assert audit_tables(t) == []
+    def test_ship_direct_path_no_discards(self):
+        # The golden network's first commodity alone: its direct edge
+        # carries one color, so shipping it leaves the other path whole.
+        text = (
+            "node s1\nnode t1\nnode a\nnode b\n"
+            "edge s1 t1 5\nedge s1 a 10\nedge a b 10\nedge b t1 10\n"
+            "commodity s1 t1\n"
+        )
+        assert outcome(text) == ([("P1.1", 5), ("P1.2", 10)], [])
 
-    def test_shipment_cascade_discards_and_strips_colors(self, golden_text):
-        t = fresh_golden(golden_text)
-        ship_position(t, 0, 5)
-        # edges 4, 1, 5 drained; P1.2 rides edge 1 and dies with it, and
-        # every path on its edges, itself included, sees one color fewer
-        assert ship_position(t, 2, 10) == ([1], [1, 2, 3])
-        assert [t.edge_residual[i] for i in (4, 1, 5)] == [0, 0, 0]
-        assert t.path_status[1] == DISCARDED
-        assert t.path_status[3] == ACTIVE
-        # Red leaves every edge it colored; Yellow now alone on edge 3
-        assert color_name(1) == "Red"
-        assert all(1 not in cell for cell in t.edge_colors)
-        assert t.path_color_count[3] == 1
-        assert audit_tables(t) == []
+    def test_shipment_cascade_discards_and_strips_colors(self):
+        # P2.1 drains edge 0 and discards P1.1.  Stripping P1.1's color
+        # drops P1.2 from three colors to two, so it ships (2 units, above
+        # its decomposition amount of 1) before P2.2 takes what is left.
+        t = build_tables(parse_network(CASCADE))
+        assert [(p.label, p.edges, p.bottleneck) for p in t.paths] == [
+            ("P1.1", (3, 0), 1),
+            ("P1.2", (3, 1), 1),
+            ("P2.1", (0,), 1),
+            ("P2.2", (1,), 3),
+        ]
+        assert t.path_color_count == (3, 3, 2, 2)
+        assert outcome(CASCADE) == ([("P2.1", 1), ("P1.2", 2), ("P2.2", 1)], ["P1.1"])
 
-    def test_used_path_keeps_its_colors_on_edges(self, golden_text):
-        t = fresh_golden(golden_text)
-        ship_position(t, 0, 5)
-        assert t.edge_colors[0] == {0}
+    def test_reshipping_rejected(self):
+        # P1.2 ships at its recounted key (2, 1); its first key (3, 1) is
+        # still queued afterwards and must not ship it again.
+        shipped = [label for label, _ in outcome(CASCADE)[0]]
+        assert shipped.count("P1.2") == 1
+
+    def test_shipping_discarded_path_rejected(self):
+        # P1.1 is discarded while its key (3, 0) is still queued.
+        shipped, dropped = outcome(CASCADE)
+        assert dropped == ["P1.1"]
+        assert "P1.1" not in [label for label, _ in shipped]
+
+    def test_zero_amount_rejected(self):
+        # A path left with a zero-residual edge is discarded, never shipped.
+        rng = random.Random(808)
+        for _ in range(60):
+            net = random_network(rng, max_nodes=7, max_edges=14, commodity_range=(1, 4))
+            assert all(amount > 0 for _, amount in greedy_solve(build_tables(net)).shipments)
+
+    def test_used_path_keeps_its_colors_on_edges(self):
+        # After P2.1 ships, its color still counts on edges 0 and 2.  Were
+        # it stripped, P2.2 would ship before P2.3 and the rest would follow
+        # a different order.
+        text = (
+            "node v0\nnode v1\nnode v2\n"
+            "edge v1 v0 4\nedge v1 v0 1\nedge v0 v2 3\nedge v0 v2 3\n"
+            "edge v1 v0 2\nedge v2 v0 1\n"
+            "commodity v2 v0\ncommodity v1 v2\ncommodity v1 v2\n"
+        )
+        assert outcome(text) == (
+            [("P1.1", 1), ("P2.1", 3), ("P2.3", 1), ("P2.4", 2)],
+            ["P3.1", "P3.3", "P2.2", "P3.2", "P3.4"],
+        )
 
     def test_full_golden_sequence_leaves_no_active_paths(self, golden_text):
         t = fresh_golden(golden_text)
-        ship_position(t, 0, 5)
-        ship_position(t, 2, 10)
-        ship_position(t, 3, 10)
-        assert t.path_status == [USED, DISCARDED, USED, USED]
-        assert ACTIVE not in t.path_status
-        assert audit_tables(t) == []
-
-    def test_wrong_amount_rejected(self, golden_text):
-        t = fresh_golden(golden_text)
-        with pytest.raises(ValueError, match="bottleneck"):
-            ship_position(t, 0, 4)
-
-    def test_zero_amount_rejected(self, golden_text):
-        t = fresh_golden(golden_text)
-        with pytest.raises(ValueError, match="bottleneck"):
-            ship_position(t, 0, 0)
-
-    def test_reshipping_rejected(self, golden_text):
-        t = fresh_golden(golden_text)
-        ship_position(t, 0, 5)
-        with pytest.raises(ValueError, match="not active"):
-            ship_position(t, 0, 5)
-
-    def test_shipping_discarded_path_rejected(self, golden_text):
-        t = fresh_golden(golden_text)
-        ship_position(t, 0, 5)
-        ship_position(t, 2, 10)
-        with pytest.raises(ValueError, match="not active"):
-            ship_position(t, 1, t.path_bottleneck[1])
-
-    def test_used_path_columns_stay_current(self, golden_text):
-        # Shipping P2.2 drains edge 3 and discards P1.2: the used and the
-        # discarded path's columns are refreshed too, not only active ones.
-        t = fresh_golden(golden_text)
-        ship_position(t, 3, 10)
-        assert t.path_status[1] == DISCARDED
-        assert t.path_bottleneck == [5, 0, 10, 0]
-        assert t.path_color_count == [1, 2, 1, 1]
-        assert audit_tables(t) == []
+        a = greedy_solve(t)
+        shipped = [p for p, _ in a.shipments]
+        assert len(set(shipped)) == len(shipped)
+        assert not set(shipped) & set(a.discarded)
+        assert set(shipped) | set(a.discarded) == set(t.paths)
 
     def test_live_bottleneck_can_exceed_decomposition_amount(self):
-        # The second peeled path only got 2 units of flow, but its edges
-        # have more slack than that once residuals start from capacity.
-        net = parse_network(
-            "node s\nnode a\nnode t\n"
-            "edge s a 5\nedge a t 3\nedge a t 4\n"
-            "commodity s t\n"
+        # P1.2 got 2 units of flow from the decomposition, but once P1.1 is
+        # discarded its edges have 4 units of slack, and it ships them all.
+        text = (
+            "node v0\nnode v1\nnode v2\n"
+            "edge v1 v0 2\nedge v2 v1 4\nedge v0 v2 1\nedge v1 v0 4\n"
+            "commodity v2 v0\ncommodity v1 v2\n"
         )
-        t = build_tables(net)
-        assert [(p.edges, p.bottleneck) for p in t.paths] == [
-            ((0, 1), 3),
-            ((0, 2), 2),
+        t = build_tables(parse_network(text))
+        assert [(p.label, p.edges, p.bottleneck) for p in t.paths] == [
+            ("P1.1", (1, 0), 2),
+            ("P1.2", (1, 3), 2),
+            ("P2.1", (0, 2), 1),
         ]
-        assert t.path_bottleneck == [3, 4]
-        ship_position(t, 1, 4)
-        assert t.edge_residual == [1, 3, 0]
-        assert t.path_status[0] == ACTIVE
-        assert t.path_bottleneck[0] == 1
-        ship_position(t, 0, 1)
-        assert audit_tables(t) == []
+        assert outcome(text) == ([("P1.2", 4), ("P2.1", 1)], ["P1.1"])
 
 
 class TestAuditTables:
-    def test_detects_residual_tampering(self, golden_text):
-        t = fresh_golden(golden_text)
-        t.edge_residual[0] = 99
-        assert any("residual" in line for line in audit_tables(t))
-
     def test_detects_color_set_tampering(self, golden_text):
         t = fresh_golden(golden_text)
-        t.edge_colors[7].add(0)
-        assert audit_tables(t) != []
-
-    def test_detects_stale_bottleneck_column(self, golden_text):
-        t = fresh_golden(golden_text)
-        t.path_bottleneck[2] = 1
-        assert any("bottleneck" in line for line in audit_tables(t))
+        cells = list(t.edge_paths)
+        cells[7] = (0, 3)
+        assert audit_tables(dataclasses.replace(t, edge_paths=tuple(cells))) != []
 
     def test_seeded_random_shipment_sequences_stay_clean(self):
+        # Greedy reads the tables and leaves them as build_tables made them.
         rng = random.Random(707)
         for _ in range(40):
             net = random_network(rng, max_nodes=6, max_edges=10, commodity_range=(1, 2))
             t = build_tables(net)
+            greedy_solve(t)
             assert audit_tables(t) == []
-            while True:
-                active = [p for p, status in enumerate(t.path_status) if status == ACTIVE]
-                if not active:
-                    break
-                p = rng.choice(active)
-                ship_position(t, p, t.path_bottleneck[p])
-                assert audit_tables(t) == []
+            assert t == build_tables(net)
 
     @settings(max_examples=40)
     @given(networks(max_nodes=6, max_edges=10, max_commodities=2))
     def test_built_tables_always_audit_clean(self, net):
-        t = build_tables(net)
-        assert audit_tables(t) == []
-        assert t.path_status == [ACTIVE] * len(t.paths)
+        assert audit_tables(build_tables(net)) == []
