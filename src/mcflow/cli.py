@@ -4,9 +4,9 @@ Subcommands: validate, maxflow, tables, solve, bound, oracle, gap, export.
 Every subcommand reads one network file (or - for standard input) and
 writes its report to standard output; diagnostics go to standard error.
 
-Exit codes: 0 success, 1 network fails validation, 2 parse or usage error
-or unreadable input (also when standard output is closed before the report
-is written, as by `| head`), 3 oracle truncation.
+Exit codes: 0 success, 2 parse or usage error or unreadable input (also
+when standard output is closed before the report is written, as by
+`| head`), 3 oracle truncation.
 
 The structured format is one record per line, fields separated by tabs,
 with repeated keys for list-valued data, so output is trivially machine
@@ -29,7 +29,6 @@ from .netmodel import (
     export_dot,
     parse_network,
     render_path,
-    validate_network,
 )
 from .oracle import (
     DEFAULT_MAX_CANDIDATES,
@@ -109,17 +108,10 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _cmd_validate(net: Network, problems: list[str], structured: bool) -> int:
-    if structured:
-        records: list[tuple] = [("violations", len(problems))]
-        records += [("violation", text) for text in problems]
-        print(_rows(records))
-    elif problems:
-        for text in problems:
-            print(text)
-    else:
-        print("ok")
-    return 1 if problems else 0
+def _cmd_validate(structured: bool) -> int:
+    """A parsed network is valid, so there is nothing left to report."""
+    print("violations\t0" if structured else "ok")
+    return 0
 
 
 def _cmd_maxflow(net: Network, com: Commodity, structured: bool) -> int:
@@ -364,14 +356,9 @@ def run(argv: list[str]) -> int:
     except NetworkParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    problems = validate_network(net)
     structured = getattr(args, "format", "human") == "structured"
     if args.command == "validate":
-        return _cmd_validate(net, problems, structured)
-    if problems:
-        for text_line in problems:
-            print(f"error: {text_line}", file=sys.stderr)
-        return 1
+        return _cmd_validate(structured)
     if args.command == "maxflow":
         try:
             com = net.commodity(args.commodity)

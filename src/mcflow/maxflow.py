@@ -42,9 +42,7 @@ class ColoredPath:
 
     `bottleneck` is the amount the decomposition assigned to the path, or,
     for the oracle's enumerated paths, its smallest capacity.  A decomposed
-    path's status and live residual bottleneck are columns of the tables,
-    indexed by the path's position there, and that position names its
-    color.
+    path's position in the tables' path list names its color.
     """
 
     commodity: int

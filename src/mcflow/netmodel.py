@@ -32,7 +32,6 @@ __all__ = [
     "path_nodes",
     "render_network",
     "render_path",
-    "validate_network",
 ]
 
 
@@ -83,11 +82,20 @@ class _Arcs(NamedTuple):
 
 @dataclass(frozen=True)
 class Network:
-    """Immutable directed network with an ordered commodity list."""
+    """Immutable directed network with an ordered commodity list.
+
+    Every Network is structurally sound: construction raises ValueError
+    ("invalid network: ...", one message per violated invariant) otherwise.
+    """
 
     nodes: tuple[str, ...]
     edges: tuple[Edge, ...]
     commodities: tuple[Commodity, ...]
+
+    def __post_init__(self) -> None:
+        problems = _violations(self)
+        if problems:
+            raise ValueError("invalid network: " + "; ".join(problems))
 
     @cached_property
     def arcs(self) -> _Arcs:
@@ -110,15 +118,10 @@ class Network:
             tuple(edge.capacity for edge in self.edges),
         )
 
-    @cached_property
-    def _problems(self) -> tuple[str, ...]:
-        return tuple(_violations(self))
-
     def commodity(self, index: int) -> Commodity:
-        for com in self.commodities:
-            if com.index == index:
-                return com
-        raise ValueError(f"no commodity with index {index}")
+        if not 1 <= index <= len(self.commodities):
+            raise ValueError(f"no commodity with index {index}")
+        return self.commodities[index - 1]
 
 
 _DIRECTIVE_ARITY = {"node": 2, "edge": 4, "commodity": 3}
@@ -127,8 +130,8 @@ _DIRECTIVE_ARITY = {"node": 2, "edge": 4, "commodity": 3}
 def parse_network(text: str) -> Network:
     """Parse network text; raises NetworkParseError with a line number.
 
-    Accepted input always satisfies validate_network, so downstream code
-    can rely on parsed networks being structurally sound.
+    The line checks reject everything Network's own check would, so
+    accepted text never raises anything else.
     """
     nodes: list[str] = []
     node_set: set[str] = set()
@@ -201,13 +204,6 @@ def parse_network(text: str) -> Network:
     if not commodities:
         raise NetworkParseError(end, "no commodities declared")
     return Network(tuple(nodes), tuple(edges), tuple(commodities))
-
-
-def validate_network(net: Network) -> list[str]:
-    """Return one message per violated structural invariant; [] when sound.
-
-    The check runs once per network; each call returns a fresh list."""
-    return list(net._problems)
 
 
 def _violations(net: Network) -> list[str]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .maxflow import ColoredPath, Cut, max_flow
-from .netmodel import Network, validate_network
+from .netmodel import Network
 
 __all__ = ["COLOR_NAMES", "FlowTables", "build_tables", "color_name"]
 
@@ -66,12 +66,8 @@ def build_tables(net: Network) -> FlowTables:
     """Run per-commodity max flows and assemble the tables.
 
     Every path owns its color, so a path's color count is the number of
-    paths sharing one of its edges, itself included.  Raises ValueError
-    when the network fails validation.
+    paths sharing one of its edges, itself included.
     """
-    problems = validate_network(net)
-    if problems:
-        raise ValueError("invalid network: " + "; ".join(problems))
     paths: list[ColoredPath] = []
     cuts: dict[int, Cut] = {}
     commodity_value: dict[int, int] = {}
@@ -82,7 +78,7 @@ def build_tables(net: Network) -> FlowTables:
         paths.extend(flow.paths)
     edge_paths: list[list[int]] = [[] for _ in net.edges]
     for position, path in enumerate(paths):
-        for eid in dict.fromkeys(path.edges):
+        for eid in path.edges:
             edge_paths[eid].append(position)
     color_count = tuple(
         len(set().union(*(edge_paths[eid] for eid in path.edges))) for path in paths

@@ -33,7 +33,7 @@ from mcflow.netmodel import _check_references, _commodity_color, _dot_quote
 
 
 def random_network(rng, max_nodes=8, max_edges=16, max_cap=10, commodity_range=(1, 1)):
-    """Seeded random network; always passes validate_network."""
+    """Seeded random network; always a valid Network."""
     node_count = rng.randint(2, max_nodes)
     names = tuple(f"v{i}" for i in range(node_count))
     edge_count = rng.randint(1, max_edges)

@@ -15,9 +15,6 @@ from hypothesis import strategies as st
 import mcflow.cli
 from helpers import random_network, regular_network
 from mcflow import (
-    Commodity,
-    Edge,
-    Network,
     build_tables,
     greedy_solve,
     render_network,
@@ -56,19 +53,6 @@ class TestValidate:
         code, out, _ = invoke(capsys, ["validate", GOLDEN, "--format", "structured"])
         assert code == 0
         assert out == "violations\t0\n"
-
-    def test_violations_reported_with_exit_1(self, capsys, monkeypatch):
-        broken = Network(
-            nodes=("s", "t"),
-            edges=(Edge(0, "s", "t", -1),),
-            commodities=(Commodity(1, "s", "t"),),
-        )
-        monkeypatch.setattr(mcflow.cli, "parse_network", lambda text: broken)
-        code, out, _ = invoke(capsys, ["validate", GOLDEN, "--format", "structured"])
-        assert code == 1
-        lines = out.splitlines()
-        assert lines[0] == "violations\t1"
-        assert lines[1].startswith("violation\t")
 
 
 class TestMaxflow:
@@ -123,9 +107,11 @@ class TestMaxflow:
         assert "P1.1: s1->t1 amount 5" in out
 
     def test_unknown_commodity_is_usage_error(self, capsys):
-        code, _, err = invoke(capsys, ["maxflow", GOLDEN, "--commodity", "9"])
-        assert code == 2
-        assert "no commodity with index 9" in err
+        # -1 must not index the last commodity.
+        for index in ("9", "0", "-1"):
+            code, out, err = invoke(capsys, ["maxflow", GOLDEN, f"--commodity={index}"])
+            assert (code, out) == (2, "")
+            assert err == f"error: no commodity with index {index} (network declares 2)\n"
 
 
 class TestTables:
@@ -462,25 +448,12 @@ class TestExitCodesAndInput:
         target.write_bytes(data)
         for command, *options in (["validate"], ["solve"], ["gap", "--max-candidates", "1000"]):
             code = run([command, str(target), *options])
-            assert type(code) is int and 0 <= code <= 3
+            assert type(code) is int and code in (0, 2, 3)
         capsys.readouterr()
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = invoke(capsys, ["solve", str(DATA / "nope.net")])
         assert code == 2
-        assert "error:" in err
-
-    def test_invalid_network_exits_1_for_non_validate_commands(
-        self, capsys, monkeypatch
-    ):
-        broken = Network(
-            nodes=("s", "t"),
-            edges=(Edge(0, "s", "t", -1),),
-            commodities=(Commodity(1, "s", "t"),),
-        )
-        monkeypatch.setattr(mcflow.cli, "parse_network", lambda text: broken)
-        code, _, err = invoke(capsys, ["solve", GOLDEN])
-        assert code == 1
         assert "error:" in err
 
     def test_usage_error_exits_2(self, capsys):

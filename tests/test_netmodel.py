@@ -25,7 +25,6 @@ from mcflow import (
     path_nodes,
     render_network,
     render_path,
-    validate_network,
 )
 
 # Legal and illegal node names and capacity tokens for near-valid text.
@@ -124,67 +123,95 @@ class TestRoundTrip:
 
     @given(networks())
     def test_parsed_networks_validate_clean(self, net):
-        assert validate_network(parse_network(render_network(net))) == []
+        # The dense numbering that edge lookups and Network.commodity rely on.
+        parsed = parse_network(render_network(net))
+        assert [e.id for e in parsed.edges] == list(range(len(parsed.edges)))
+        assert [parsed.commodity(c.index) for c in parsed.commodities] == list(net.commodities)
 
     @given(odd_network_texts())
     def test_accepted_text_validates_clean(self, text):
+        # Parsing raises NetworkParseError or returns a Network; the
+        # construction check behind it never fires on accepted text.
         try:
-            net = parse_network(text)
+            parse_network(text)
         except NetworkParseError:
-            return
-        assert validate_network(net) == []
+            pass
+
+
+def _problems(*args) -> list[str]:
+    """The messages Network(*args) raises with, one per violated invariant."""
+    with pytest.raises(ValueError) as excinfo:
+        Network(*args)
+    message = str(excinfo.value)
+    assert message.startswith("invalid network: ")
+    return message.removeprefix("invalid network: ").split("; ")
 
 
 class TestValidate:
     def test_golden_is_clean(self, golden_net):
-        assert validate_network(golden_net) == []
+        assert Network(golden_net.nodes, golden_net.edges, golden_net.commodities) == golden_net
 
     def test_commodity_source_equals_sink(self):
-        net = Network(
+        problems = _problems(
             ("s", "t"),
             (Edge(0, "s", "t", 1),),
             (Commodity(1, "s", "s"),),
         )
-        problems = validate_network(net)
         assert len(problems) == 1
         assert "source equals sink" in problems[0]
 
     def test_undeclared_endpoint(self):
-        net = Network(("s",), (Edge(0, "s", "ghost", 1),), (Commodity(1, "s", "ghost"),))
-        problems = validate_network(net)
-        assert any("endpoint 'ghost' not declared" in p for p in problems)
+        problems = _problems(("s",), (Edge(0, "s", "ghost", 1),), (Commodity(1, "s", "ghost"),))
+        assert any("edge 0 (s->ghost): endpoint 'ghost' not declared" in p for p in problems)
+        assert any("commodity 1: endpoint 'ghost' not declared" in p for p in problems)
 
     def test_negative_capacity_and_self_loop(self):
-        net = Network(
+        problems = _problems(
             ("s", "t"),
             (Edge(0, "s", "t", -2), Edge(1, "t", "t", 1)),
             (Commodity(1, "s", "t"),),
         )
-        problems = validate_network(net)
         assert any("negative capacity" in p for p in problems)
         assert any("self-loop" in p for p in problems)
 
+    @pytest.mark.parametrize("capacity", [1.5, "3", True])
+    def test_non_integer_capacity(self, capacity):
+        problems = _problems(
+            ("s", "t"),
+            (Edge(0, "s", "t", capacity),),
+            (Commodity(1, "s", "t"),),
+        )
+        assert problems == [f"edge 0 (s->t): capacity {capacity!r} is not an integer"]
+
     def test_non_dense_edge_ids(self):
-        net = Network(
+        problems = _problems(
             ("s", "t"),
             (Edge(1, "s", "t", 1),),
             (Commodity(1, "s", "t"),),
         )
-        assert any("not dense" in p for p in validate_network(net))
+        assert any("not dense" in p for p in problems)
+
+    def test_non_dense_commodity_indices(self):
+        problems = _problems(
+            ("s", "t"),
+            (Edge(0, "s", "t", 1),),
+            (Commodity(2, "s", "t"),),
+        )
+        assert problems == ["commodity 2: index not dense at position 0"]
 
     def test_duplicate_and_whitespace_node_names(self):
-        net = Network(
-            ("s", "s", "a b"),
+        problems = _problems(
+            ("s", "s", "a b", "a\x00", ""),
             (Edge(0, "s", "s", 1),),
             (Commodity(1, "s", "s"),),
         )
-        problems = validate_network(net)
         assert any("duplicate node name" in p for p in problems)
-        assert any("whitespace" in p for p in problems)
+        assert any("'a b' contains whitespace" in p for p in problems)
+        assert any("'a\\x00' contains whitespace or unprintable" in p for p in problems)
+        assert "empty node name" in problems
 
     def test_empty_network_reports_missing_pieces(self):
-        net = Network((), (), ())
-        problems = validate_network(net)
+        problems = _problems((), (), ())
         assert any("no edges" in p for p in problems)
         assert any("no commodities" in p for p in problems)
 
