@@ -20,7 +20,7 @@ import functools
 import os
 import sys
 
-from .heuristic import greedy_solve, inclusion_exclusion_bound, upper_bounds
+from .heuristic import greedy_solve, intersection_terms, upper_bounds
 from .maxflow import max_flow
 from .netmodel import (
     Commodity,
@@ -253,33 +253,26 @@ def _cmd_solve(net: Network, structured: bool) -> int:
 
 
 def _cmd_bound(net: Network, structured: bool) -> int:
+    """Cut sums, then each subset term as it is computed, then the bound:
+    one term in memory at a time, whatever the number of commodities."""
     tables = build_tables(net)
-    report = inclusion_exclusion_bound(
-        [tables.cuts[com.index] for com in net.commodities]
-    )
+    cuts = [tables.cuts[com.index] for com in net.commodities]
+    write = sys.stdout.write  # one call per line, and there are about 2^K
     if structured:
-        records: list[tuple] = [
-            ("cut_sum", index, value)
-            for index, value in report.individual_cut_sums.items()
-        ]
-        records += [
-            ("intersection", ",".join(str(i) for i in subset), value)
-            for subset, value in report.intersection_terms.items()
-            if len(subset) >= 2
-        ]
-        records.append(("bound", report.bound))
-        print(_rows(records))
+        for index, cut in enumerate(cuts, start=1):
+            write(f"cut_sum\t{index}\t{cut.capacity}\n")
+        for subset, value in intersection_terms(cuts):
+            write(f"intersection\t{','.join(map(str, subset))}\t{value}\n")
+        write(f"bound\t{upper_bounds(tables).inclusion_exclusion}\n")
     else:
-        print("cut capacities:")
-        for index, value in report.individual_cut_sums.items():
-            print(f"  commodity {index}: {value}")
-        pairs_up = [s for s in report.intersection_terms if len(s) >= 2]
-        if pairs_up:
-            print("intersection terms:")
-            for subset in pairs_up:
-                joined = ",".join(str(i) for i in subset)
-                print(f"  {{{joined}}}: {report.intersection_terms[subset]}")
-        print(f"bound: {report.bound}")
+        write("cut capacities:\n")
+        for index, cut in enumerate(cuts, start=1):
+            write(f"  commodity {index}: {cut.capacity}\n")
+        if len(cuts) >= 2:
+            write("intersection terms:\n")
+        for subset, value in intersection_terms(cuts):
+            write(f"  {{{','.join(map(str, subset))}}}: {value}\n")
+        write(f"bound: {upper_bounds(tables).inclusion_exclusion}\n")
     return 0
 
 

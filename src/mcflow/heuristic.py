@@ -5,7 +5,8 @@ The selection rule: a path whose edges carry only its own color competes
 with nobody, so it ships first; after that the active path with the fewest
 distinct colors ships next, always at its current residual bottleneck.
 Ties break on (commodity, ordinal).  The shipped total is a lower bound on
-the joint optimum; upper_bounds reports two capacity relaxations next to it.
+the joint optimum; upper_bounds reports two capacity relaxations next to it,
+and intersection_terms streams the subset terms behind the second.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .maxflow import ColoredPath, Cut
 from .netmodel import Network, _check_references
@@ -21,10 +22,9 @@ from .tables import FlowTables
 
 __all__ = [
     "Assignment",
-    "BoundReport",
     "UpperBounds",
     "greedy_solve",
-    "inclusion_exclusion_bound",
+    "intersection_terms",
     "upper_bounds",
     "validate_assignment",
 ]
@@ -111,41 +111,31 @@ def greedy_solve(tables: FlowTables) -> Assignment:
     return Assignment(shipments, discarded, edge_flow, per_commodity, total)
 
 
-@dataclass
-class BoundReport:
-    """Alternating-sum bound with all its terms laid out."""
+def intersection_terms(cuts: Sequence[Cut]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Shared cut capacity of every subset of two or more cuts, one term at
+    a time: yields (1-based subset, capacity of the edges in every cut of
+    it) in `itertools.combinations` order, pairs first.
 
-    individual_cut_sums: dict[int, int]
-    intersection_terms: dict[tuple[int, ...], int]
-    bound: int
-
-
-def inclusion_exclusion_bound(cuts: Sequence[Cut]) -> BoundReport:
-    """Alternating-sign sum of shared cut capacity over every nonempty
-    commodity subset: singletons add, pairs subtract, triples add, and so
-    on, intersecting the cut edge sets.
-
-    The sum equals the capacity of the union of the cut edges, which
-    upper_bounds computes directly in O(E).  This function exists to lay
-    the terms out (`mcflow bound`): it lists all 2^K - 1 of them for K
-    cuts and costs that much time and memory.
+    With the cut capacities these are the terms of the inclusion-exclusion
+    sum, singletons added, pairs subtracted, triples added and so on, that
+    upper_bounds collapses to the capacity of the union of the cut edges.
+    There are 2^K - K - 1 of them for K cuts; only the current one is held,
+    and a subset's intersection stops once it is empty.
     """
-    edge_sets = [frozenset(e.id for e in cut.cut_edges) for cut in cuts]
-    capacity: dict[int, int] = {}
-    for cut in cuts:
-        for edge in cut.cut_edges:
-            capacity[edge.id] = edge.capacity
-    individual = {position + 1: cut.capacity for position, cut in enumerate(cuts)}
-    terms: dict[tuple[int, ...], int] = {}
-    bound = 0
-    for size in range(1, len(cuts) + 1):
-        sign = 1 if size % 2 == 1 else -1
-        for subset in combinations(range(len(cuts)), size):
-            shared = frozenset.intersection(*(edge_sets[i] for i in subset))
-            weight = sum(capacity[eid] for eid in shared)
-            terms[tuple(i + 1 for i in subset)] = weight
-            bound += sign * weight
-    return BoundReport(individual, terms, bound)
+    # Keyed by 1-based position, so combinations of the keys are the subsets.
+    edge_sets = {
+        position: frozenset(e.id for e in cut.cut_edges)
+        for position, cut in enumerate(cuts, start=1)
+    }
+    capacity = {edge.id: edge.capacity for cut in cuts for edge in cut.cut_edges}
+    for size in range(2, len(cuts) + 1):
+        for subset in combinations(edge_sets, size):
+            shared = edge_sets[subset[0]]
+            for position in subset[1:]:
+                if not shared:
+                    break
+                shared = shared & edge_sets[position]
+            yield subset, sum(capacity[eid] for eid in shared)
 
 
 def validate_assignment(net: Network, assignment: Assignment) -> list[str]:
@@ -225,10 +215,10 @@ def upper_bounds(tables: FlowTables) -> UpperBounds:
     """Sum of the individual max flows, and the cut inclusion-exclusion
     bound, over the commodities of `tables.network`.
 
-    The alternating sum over commodity subsets that
-    inclusion_exclusion_bound lays out collapses to the capacity of the
-    union of the min-cut edges, so that is computed directly: O(E) rather
-    than 2^K - 1 subset intersections.
+    The alternating sum over commodity subsets whose terms
+    intersection_terms yields collapses to the capacity of the union of the
+    min-cut edges, so that is computed directly: O(E) rather than 2^K - 1
+    subset intersections.
     """
     total = sum(tables.commodity_value.values())
     union = {edge.id: edge.capacity for cut in tables.cuts.values() for edge in cut.cut_edges}

@@ -30,7 +30,6 @@ __all__ = [
     "export_dot",
     "parse_network",
     "path_nodes",
-    "render_network",
     "render_path",
 ]
 
@@ -262,14 +261,6 @@ def _violations(net: Network) -> list[str]:
         if com.source == com.sink:
             violations.append(f"{tag}: source equals sink")
     return violations
-
-
-def render_network(net: Network) -> str:
-    """Serialize a network; parse_network inverts this exactly."""
-    lines = [f"node {name}" for name in net.nodes]
-    lines += [f"edge {e.tail} {e.head} {e.capacity}" for e in net.edges]
-    lines += [f"commodity {c.source} {c.sink}" for c in net.commodities]
-    return "\n".join(lines) + "\n"
 
 
 def path_nodes(net: Network, edge_ids: Sequence[int]) -> list[str]:

@@ -3,7 +3,7 @@ comparison report against the greedy heuristic.
 
 The search space is every simple source-sink path of every commodity
 (enumerate_paths), each carrying an integer amount bounded by the remaining
-capacity along it, read from the network and never from a catalog path.
+capacity along it, read from the network.
 One iterative branch and bound explores the amount vectors, and runs
 twice.  Each pass prunes a node whose bound cannot reach a target value.
 The descending pass tries high amounts first and raises its target past
@@ -26,7 +26,7 @@ best lower bound reaches it, the report is exact too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .heuristic import greedy_solve, upper_bounds
 from .maxflow import ColoredPath
@@ -116,25 +116,19 @@ def optimal_value(
     net: Network,
     max_paths: int = DEFAULT_MAX_PATHS,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
-    catalog: Sequence[ColoredPath] | None = None,
 ) -> OracleResult:
     """Exact integral optimum over simple-path flows, within limits.
 
     Independent of path enumeration order: the optimum is a property of the
     instance, and the witness is canonical (lexicographically smallest over
-    the catalog order used).  Pass `catalog` to restrict the search to a
-    known path set.
+    the enumerated paths).
     """
-    if catalog is None:
-        try:
-            catalog = [
-                path
-                for com in net.commodities
-                for path in enumerate_paths(net, com, max_paths)
-            ]
-        except OracleLimitError:
-            return OracleResult(0, (), 0, True, ())
-    paths = tuple(catalog)
+    try:
+        paths = tuple(
+            path for com in net.commodities for path in enumerate_paths(net, com, max_paths)
+        )
+    except OracleLimitError:
+        return OracleResult(0, (), 0, True, ())
     m = len(paths)
     residual = [e.capacity for e in net.edges]
     # Static suffix bound from full capacities: cheap first-stage prune.

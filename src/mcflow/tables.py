@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from .maxflow import ColoredPath, Cut, max_flow
 from .netmodel import Network
 
-__all__ = ["COLOR_NAMES", "FlowTables", "build_tables", "color_name"]
+__all__ = ["FlowTables", "build_tables", "color_name"]
 
-COLOR_NAMES = (
+_COLOR_NAMES = (
     "Violet",
     "Red",
     "Green",
@@ -45,8 +45,8 @@ COLOR_NAMES = (
 
 def color_name(position: int) -> str:
     """Name of the color of the path at `position` in FlowTables.paths."""
-    if position < len(COLOR_NAMES):
-        return COLOR_NAMES[position]
+    if position < len(_COLOR_NAMES):
+        return _COLOR_NAMES[position]
     return f"Color{position + 1}"
 
 

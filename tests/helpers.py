@@ -49,6 +49,14 @@ def random_network(rng, max_nodes=8, max_edges=16, max_cap=10, commodity_range=(
     return Network(names, tuple(edges), tuple(commodities))
 
 
+def render_network(net: Network) -> str:
+    """Serialize a network; parse_network inverts this exactly."""
+    lines = [f"node {name}" for name in net.nodes]
+    lines += [f"edge {e.tail} {e.head} {e.capacity}" for e in net.edges]
+    lines += [f"commodity {c.source} {c.sink}" for c in net.commodities]
+    return "\n".join(lines) + "\n"
+
+
 def regular_network(rng, node_count, degree, commodity_count, max_cap=20):
     """Seeded digraph in which every node has `degree` out- and in-edges.
 
@@ -723,6 +731,27 @@ def direct_inclusion_exclusion(edge_sets, capacities) -> int:
                 shared &= edge_sets[i]
             term = sum(capacities[eid] for eid in shared)
             total += term if size % 2 == 1 else -term
+    return total
+
+
+def checked_term_sum(cuts, terms) -> int:
+    """Cut sums plus the alternating-sign sum of `terms`, the
+    (1-based subset, shared capacity) pairs intersection_terms yields for
+    `cuts`, after checking that they name every subset of two or more cuts
+    in combinations order and that each value is the capacity of that
+    subset's explicit edge intersection."""
+    sets = [{e.id for e in cut.cut_edges} for cut in cuts]
+    caps = {e.id: e.capacity for cut in cuts for e in cut.cut_edges}
+    positions = range(1, len(cuts) + 1)
+    subsets = [c for size in positions[1:] for c in itertools.combinations(positions, size)]
+    total = sum(cut.capacity for cut in cuts)
+    seen = []
+    for subset, value in terms:
+        seen.append(subset)
+        shared = set.intersection(*(sets[i - 1] for i in subset))
+        assert value == sum(caps[eid] for eid in shared), subset
+        total += value if len(subset) % 2 == 1 else -value
+    assert seen == subsets
     return total
 
 

@@ -28,8 +28,10 @@ import pytest
 from helpers import (
     brute_force_min_cut,
     certified_cut_union_bound,
+    checked_term_sum,
     direct_inclusion_exclusion,
     random_network,
+    render_network,
 )
 from mcflow import (
     Cut,
@@ -37,10 +39,10 @@ from mcflow import (
     build_tables,
     gap_report,
     greedy_solve,
-    inclusion_exclusion_bound,
+    intersection_terms,
     max_flow,
     parse_network,
-    render_network,
+    upper_bounds,
     validate_assignment,
 )
 from mcflow.cli import run
@@ -179,6 +181,9 @@ def test_criterion_6_bound_arithmetic():
             capacity=sum(e.capacity for e in edges),
         )
 
+    def term_sum(cuts):
+        return checked_term_sum(cuts, intersection_terms(cuts))
+
     rng = random.Random(SEED)
     for _ in range(100):
         pool = [Edge(eid, "u", "v", rng.randint(0, 10)) for eid in range(10)]
@@ -189,14 +194,24 @@ def test_criterion_6_bound_arithmetic():
             cuts.append(cut_of(chosen))
             sets.append({e.id for e in chosen})
         caps = {e.id: e.capacity for e in pool}
-        assert inclusion_exclusion_bound(cuts).bound == direct_inclusion_exclusion(sets, caps)
+        assert term_sum(cuts) == direct_inclusion_exclusion(sets, caps)
 
     disjoint = [cut_of([Edge(0, "u", "v", 4)]), cut_of([Edge(1, "u", "v", 6)])]
-    assert inclusion_exclusion_bound(disjoint).bound == 10
+    assert term_sum(disjoint) == 10
     shared = Edge(0, "u", "v", 7)
     identical = [cut_of([shared]), cut_of([shared])]
-    assert inclusion_exclusion_bound(identical).bound == 7
-    _report(6, "bound arithmetic", " (100 families + degenerate cases)")
+    assert term_sum(identical) == 7
+
+    for _ in range(20):
+        net = random_network(rng, max_nodes=10, max_edges=30, max_cap=9, commodity_range=(2, 10))
+        tables = build_tables(net)
+        cuts = [tables.cuts[com.index] for com in net.commodities]
+        sets = [{e.id for e in cut.cut_edges} for cut in cuts]
+        caps = {e.id: e.capacity for e in net.edges}
+        bound = term_sum(cuts)
+        assert bound == direct_inclusion_exclusion(sets, caps)
+        assert bound == upper_bounds(tables).inclusion_exclusion
+    _report(6, "bound arithmetic", " (100 families + degenerate cases + 20 networks)")
 
 
 def test_criterion_7_byte_identical_reruns():

@@ -3,9 +3,11 @@
 import io
 import os
 import random
+import select
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,11 +15,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mcflow.cli
-from helpers import random_network, regular_network
+from helpers import random_network, regular_network, render_network
 from mcflow import (
     build_tables,
     greedy_solve,
-    render_network,
     validate_assignment,
 )
 from mcflow.cli import run
@@ -36,6 +37,13 @@ CRITERION_5_044 = (
     "edge v1 v0 4\nedge v0 v1 9\nedge v0 v1 7\nedge v0 v1 9\n"
     "commodity v1 v0\ncommodity v0 v1\ncommodity v0 v1\n"
 )
+
+
+def _module_env():
+    """The environment for a child `python -m mcflow`: this package first."""
+    src = str(Path(mcflow.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def invoke(capsys, argv):
@@ -260,6 +268,63 @@ class TestBound:
         assert "commodity 1: 15" in out
         assert "{1,2}: 0" in out
         assert "bound: 35" in out
+
+    def test_reader_leaving_after_first_line_ends_run(self, tmp_path):
+        # `mcflow bound k30.net | head -1`: 2^30 - 31 terms follow the cut
+        # sums, so the run must stream them and stop at the closed pipe.
+        target = tmp_path / "k30.net"
+        target.write_text(render_network(regular_network(random.Random(1), 300, 4, 30)))
+        deadline = time.monotonic() + 10
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mcflow", "bound", str(target)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_module_env(),
+        )
+        try:
+            head = b""
+            while b"\n" not in head:
+                wait = max(deadline - time.monotonic(), 0)
+                ready, _, _ = select.select([proc.stdout], [], [], wait)
+                assert ready, "no output line within 10 s"
+                chunk = os.read(proc.stdout.fileno(), 65536)
+                assert chunk, "output ended before its first line"
+                head += chunk
+            proc.stdout.close()
+            code = proc.wait(timeout=max(deadline - time.monotonic(), 0))
+        finally:
+            proc.kill()
+            proc.wait()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert head.split(b"\n")[0] == b"cut capacities:"
+        assert code == 2
+        assert err == b""
+
+    @pytest.mark.slow
+    def test_memory_does_not_grow_with_subset_count(self, tmp_path):
+        # 2^20 - 21 terms; a wrapper process reports the peak RSS of its
+        # one child, so earlier children of this process do not count.
+        target = tmp_path / "k20.net"
+        target.write_text(render_network(regular_network(random.Random(1), 300, 4, 20)))
+        argv = [sys.executable, "-m", "mcflow", "bound", str(target), "--format", "structured"]
+        script = (
+            "import resource, subprocess, sys\n"
+            f"code = subprocess.run({argv!r}, stdout=subprocess.DEVNULL).returncode\n"
+            "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+            "print(code, peak)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=_module_env(),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, peak_kib = map(int, proc.stdout.split())
+        assert code == 0
+        assert peak_kib < 40 * 1024
 
 
 class TestOracle:
@@ -556,13 +621,8 @@ class TestEntryPoints:
             "    counts.append(built)\n"
             "print(*counts)\n"
         )
-        src = str(Path(mcflow.cli.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            [sys.executable, "-c", script], capture_output=True, text=True, env=_module_env()
         )
         assert proc.returncode == 0, proc.stderr
         at_import, first_run, second_run = map(int, proc.stdout.split()[-3:])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    checked_term_sum,
     corrupt_assignment,
     direct_inclusion_exclusion,
     full_scan_greedy,
@@ -23,7 +24,7 @@ from mcflow import (
     Edge,
     build_tables,
     greedy_solve,
-    inclusion_exclusion_bound,
+    intersection_terms,
     parse_network,
     upper_bounds,
     validate_assignment,
@@ -235,37 +236,44 @@ def _cut(edges):
     )
 
 
+def _term_sum(cuts):
+    return checked_term_sum(cuts, intersection_terms(cuts))
+
+
 class TestInclusionExclusionBound:
     def test_golden_terms(self, golden_text):
         t = build_tables(parse_network(golden_text))
-        report = inclusion_exclusion_bound([t.cuts[1], t.cuts[2]])
-        assert report.individual_cut_sums == {1: 15, 2: 20}
-        assert report.intersection_terms == {(1,): 15, (2,): 20, (1, 2): 0}
-        assert report.bound == 35
+        cuts = [t.cuts[1], t.cuts[2]]
+        assert [cut.capacity for cut in cuts] == [15, 20]
+        assert list(intersection_terms(cuts)) == [((1, 2), 0)]
+        assert _term_sum(cuts) == 35 == upper_bounds(t).inclusion_exclusion
 
     def test_disjoint_cuts_add_up(self):
         e0 = Edge(0, "s", "a", 4)
         e1 = Edge(1, "b", "t", 6)
-        report = inclusion_exclusion_bound([_cut([e0]), _cut([e1])])
-        assert report.bound == 10
+        cuts = [_cut([e0]), _cut([e1])]
+        assert list(intersection_terms(cuts)) == [((1, 2), 0)]
+        assert _term_sum(cuts) == 10 == direct_inclusion_exclusion([{0}, {1}], {0: 4, 1: 6})
 
     def test_identical_cuts_count_once(self):
         shared = Edge(0, "s", "t", 7)
-        report = inclusion_exclusion_bound([_cut([shared]), _cut([shared])])
-        assert report.bound == 7
-        assert report.intersection_terms[(1, 2)] == 7
+        cuts = [_cut([shared]), _cut([shared])]
+        assert list(intersection_terms(cuts)) == [((1, 2), 7)]
+        assert _term_sum(cuts) == 7 == direct_inclusion_exclusion([{0}, {0}], {0: 7})
 
     def test_three_way_overlap(self):
         a = Edge(0, "s", "x", 3)
         b = Edge(1, "s", "y", 5)
         c = Edge(2, "s", "z", 7)
         cuts = [_cut([a, b]), _cut([b, c]), _cut([a, b, c])]
-        report = inclusion_exclusion_bound(cuts)
+        assert list(intersection_terms(cuts)) == [
+            ((1, 2), 5), ((1, 3), 8), ((2, 3), 12), ((1, 2, 3), 5)
+        ]
         sets = [{0, 1}, {1, 2}, {0, 1, 2}]
         caps = {0: 3, 1: 5, 2: 7}
-        assert report.bound == direct_inclusion_exclusion(sets, caps)
+        assert _term_sum(cuts) == direct_inclusion_exclusion(sets, caps)
         # alternating sum collapses to the capacity of the union
-        assert report.bound == 3 + 5 + 7
+        assert _term_sum(cuts) == 3 + 5 + 7
 
     def test_random_families_match_direct_evaluation(self):
         rng = random.Random(99)
@@ -279,10 +287,10 @@ class TestInclusionExclusionBound:
                 cuts.append(_cut(chosen))
                 sets.append({e.id for e in chosen})
             caps = {e.id: e.capacity for e in pool}
-            report = inclusion_exclusion_bound(cuts)
-            assert report.bound == direct_inclusion_exclusion(sets, caps)
+            bound = _term_sum(cuts)
+            assert bound == direct_inclusion_exclusion(sets, caps)
             union = set().union(*sets)
-            assert report.bound == sum(caps[eid] for eid in union)
+            assert bound == sum(caps[eid] for eid in union)
 
     @settings(max_examples=40)
     @given(st.data())
@@ -296,9 +304,21 @@ class TestInclusionExclusionBound:
             )
             for _ in range(k)
         ]
-        report = inclusion_exclusion_bound([_cut(c) for c in choices])
-        union_ids = {e.id for c in choices for e in c}
-        assert report.bound == sum(caps[eid] for eid in union_ids)
+        cuts = [_cut(c) for c in choices]
+        sets = [{e.id for e in c} for c in choices]
+        union_ids = set().union(*sets)
+        bound = _term_sum(cuts)
+        assert bound == direct_inclusion_exclusion(sets, dict(enumerate(caps)))
+        assert bound == sum(caps[eid] for eid in union_ids)
+
+    def test_terms_stream_one_at_a_time(self):
+        # 2^40 subsets could never all be held: the first terms come at once.
+        shared = Edge(0, "s", "t", 7)
+        cuts = [_cut([shared])] * 20 + [_cut([Edge(eid, "s", "t", 1)]) for eid in range(1, 21)]
+        terms = intersection_terms(cuts)
+        assert next(terms) == ((1, 2), 7)
+        assert next(terms) == ((1, 3), 7)
+        assert (next(terms), next(terms)) == (((1, 4), 7), ((1, 5), 7))
 
 
 class TestUpperBounds:
@@ -335,7 +355,10 @@ class TestUpperBounds:
             )
             t = build_tables(net)
             ordered = [t.cuts[com.index] for com in net.commodities]
-            bound = inclusion_exclusion_bound(ordered).bound
+            sets = [{e.id for e in cut.cut_edges} for cut in ordered]
+            caps = {e.id: e.capacity for e in net.edges}
+            bound = _term_sum(ordered)
+            assert bound == direct_inclusion_exclusion(sets, caps)
             assert upper_bounds(t).inclusion_exclusion == bound
             sizes.add(len(net.commodities))
         assert 10 in sizes

@@ -11,6 +11,7 @@ from helpers import (
     multicommodity_networks,
     networks,
     reference_export_dot,
+    render_network,
 )
 from mcflow import (
     Assignment,
@@ -23,7 +24,6 @@ from mcflow import (
     greedy_solve,
     parse_network,
     path_nodes,
-    render_network,
     render_path,
 )
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 
 from helpers import audit_tables, networks, random_network
 from mcflow import (
-    COLOR_NAMES,
     build_tables,
     color_name,
     greedy_solve,
@@ -118,7 +117,11 @@ class TestBuildTables:
         t = fresh_golden(golden_text)
         assert set().union(*t.edge_paths) == set(range(4))
         assert len({color_name(p) for p in range(4)}) == 4
-        assert color_name(len(COLOR_NAMES)) == f"Color{len(COLOR_NAMES) + 1}"
+        assert [color_name(p) for p in range(16)] == [
+            "Violet", "Red", "Green", "Yellow", "Blue", "Orange", "Cyan", "Magenta",
+            "Brown", "Pink", "Olive", "Teal", "Navy", "Maroon", "Coral", "Indigo",
+        ]
+        assert color_name(16) == "Color17"
 
     def test_sum_of_path_amounts_matches_commodity_value(self, golden_text):
         t = fresh_golden(golden_text)
