@@ -115,7 +115,7 @@ def _cmd_validate(structured: bool) -> int:
 
 
 def _cmd_maxflow(net: Network, com: Commodity, structured: bool) -> int:
-    flow = max_flow(net, com.source, com.sink, commodity=com.index)
+    flow = max_flow(net, com)
     cut = flow.min_cut
     if structured:
         records: list[tuple] = [
@@ -169,11 +169,11 @@ def _cmd_tables(net: Network, structured: bool) -> int:
             for p, n in zip(tables.paths, tables.path_color_count)
         ]
         records += [("path_status", p.label, "active") for p in tables.paths]
-        for com in net.commodities:
-            cut = tables.cuts[com.index]
+        for com, flow in zip(net.commodities, tables.flows):
+            cut = flow.min_cut
             records.append(("cut", com.index, cut.capacity))
             records += [("cut_edge", com.index, e.id) for e in cut.cut_edges]
-            records.append(("commodity_flow", com.index, tables.commodity_value[com.index]))
+            records.append(("commodity_flow", com.index, flow.value))
         print(_rows(records))
     else:
         edge_label = {
@@ -199,10 +199,9 @@ def _cmd_tables(net: Network, structured: bool) -> int:
         for path, n in zip(tables.paths, tables.path_color_count):
             print(f"  {path.label} | {n}")
         print("MIN CUTS")
-        for com in net.commodities:
-            cut = tables.cuts[com.index]
-            edges = " ".join(f"{e.tail}->{e.head}" for e in cut.cut_edges)
-            print(f"  commodity {com.index} | capacity {cut.capacity} | {edges}")
+        for com, flow in zip(net.commodities, tables.flows):
+            edges = " ".join(f"{e.tail}->{e.head}" for e in flow.min_cut.cut_edges)
+            print(f"  commodity {com.index} | capacity {flow.min_cut.capacity} | {edges}")
     return 0
 
 
@@ -224,8 +223,8 @@ def _cmd_solve(net: Network, structured: bool) -> int:
             for path in assignment.discarded
         ]
         records += [
-            ("commodity_value", com.index, assignment.per_commodity_value[com.index])
-            for com in net.commodities
+            ("commodity_value", index, value)
+            for index, value in assignment.per_commodity_value.items()
         ]
         records.append(("total", assignment.total_value))
         records.append(("bound_individual", bounds.individual_total))
@@ -243,8 +242,8 @@ def _cmd_solve(net: Network, structured: bool) -> int:
             for path in assignment.discarded:
                 print(f"  {path.label} {render_path(net, path.edges)}")
         print("totals:")
-        for com in net.commodities:
-            print(f"  commodity {com.index}: {assignment.per_commodity_value[com.index]}")
+        for index, value in assignment.per_commodity_value.items():
+            print(f"  commodity {index}: {value}")
         print(f"  total: {assignment.total_value}")
         print("upper bounds:")
         print(f"  individual max-flow sum: {bounds.individual_total}")
@@ -256,7 +255,7 @@ def _cmd_bound(net: Network, structured: bool) -> int:
     """Cut sums, then each subset term as it is computed, then the bound:
     one term in memory at a time, whatever the number of commodities."""
     tables = build_tables(net)
-    cuts = [tables.cuts[com.index] for com in net.commodities]
+    cuts = [flow.min_cut for flow in tables.flows]
     write = sys.stdout.write  # one call per line, and there are about 2^K
     if structured:
         for index, cut in enumerate(cuts, start=1):

@@ -220,6 +220,5 @@ def upper_bounds(tables: FlowTables) -> UpperBounds:
     min-cut edges, so that is computed directly: O(E) rather than 2^K - 1
     subset intersections.
     """
-    total = sum(tables.commodity_value.values())
-    union = {edge.id: edge.capacity for cut in tables.cuts.values() for edge in cut.cut_edges}
-    return UpperBounds(total, sum(union.values()))
+    union = {edge.id: edge.capacity for flow in tables.flows for edge in flow.min_cut.cut_edges}
+    return UpperBounds(sum(flow.value for flow in tables.flows), sum(union.values()))

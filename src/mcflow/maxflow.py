@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .netmodel import Edge, Network
+from .netmodel import Commodity, Edge, Network
 
 __all__ = [
     "ColoredPath",
@@ -69,21 +69,10 @@ class FlowState:
     """A max flow for one commodity, its canonical min cut, and the paths
     it decomposes into, numbered from 1 in the order they were peeled."""
 
-    commodity: int
-    source: str
-    sink: str
     edge_flow: tuple[int, ...]
     value: int
     min_cut: Cut
     paths: tuple[ColoredPath, ...]
-
-
-def _check_endpoints(net: Network, s: str, t: str) -> None:
-    for v in (s, t):
-        if v not in net.arcs.index:
-            raise ValueError(f"node {v!r} not in network")
-    if s == t:
-        raise ValueError("source equals sink")
 
 
 def _search(
@@ -164,9 +153,10 @@ def _source_cut(net: Network, depth: Sequence[int], levels: list[list[int]]) -> 
     return Cut(side, cut_edges, sum(e.capacity for e in cut_edges))
 
 
-def max_flow(net: Network, s: str, t: str, commodity: int = 0) -> FlowState:
-    """Augment to completion; the result carries the canonical min cut
-    and the flow's paths (decompose_cut_paths).
+def max_flow(net: Network, com: Commodity) -> FlowState:
+    """Augment commodity `com` to completion; the result carries the
+    canonical min cut and the flow's paths (decompose_cut_paths).  Raises
+    ValueError for a commodity the network does not declare.
 
     The augmenting paths are Edmonds-Karp's, found in phases.  Each phase
     labels the nodes on shortest s-t paths with their distance to t
@@ -177,10 +167,11 @@ def max_flow(net: Network, s: str, t: str, commodity: int = 0) -> FlowState:
     keeps a pointer to its current arc, and a node with none left is a
     dead end for the phase.  Phases repeat until t is out of reach.
     """
-    _check_endpoints(net, s, t)
+    if not (0 < com.index <= len(net.commodities) and net.commodities[com.index - 1] == com):
+        raise ValueError(f"{com} is not declared by the network")
     arcs = net.arcs
     out = arcs.out
-    si, ti = arcs.index[s], arcs.index[t]
+    si, ti = arcs.index[com.source], arcs.index[com.sink]
     res = [0] * (2 * len(net.edges))
     res[0::2] = arcs.capacity
     value = 0
@@ -233,10 +224,10 @@ def max_flow(net: Network, s: str, t: str, commodity: int = 0) -> FlowState:
                 path.pop()
                 nodes.pop()
     cut = _source_cut(net, dist, levels)
-    assert t not in cut.source_side
+    assert com.sink not in cut.source_side
     assert value == cut.capacity, "flow value must equal the reachability cut capacity"
-    paths = decompose_cut_paths(net, commodity, si, ti, res[1::2], dist, value)
-    return FlowState(commodity, s, t, tuple(res[1::2]), value, cut, paths)
+    paths = decompose_cut_paths(net, com.index, si, ti, res[1::2], dist, value)
+    return FlowState(tuple(res[1::2]), value, cut, paths)
 
 
 def _cancel_flow_cycles(net: Network, flows: list[int]) -> list[list[tuple[int, int]]]:

@@ -29,7 +29,6 @@ __all__ = [
     "NetworkParseError",
     "export_dot",
     "parse_network",
-    "path_nodes",
     "render_path",
 ]
 
@@ -263,21 +262,18 @@ def _violations(net: Network) -> list[str]:
     return violations
 
 
-def path_nodes(net: Network, edge_ids: Sequence[int]) -> list[str]:
-    """Node sequence visited by consecutive edges."""
+def render_path(net: Network, edge_ids: Sequence[int]) -> str:
+    """The nodes that consecutive edges visit, joined by "->"; raises
+    ValueError at an edge that does not leave the node the path reached."""
     if not edge_ids:
-        return []
+        return ""
     nodes = [net.edges[edge_ids[0]].tail]
     for eid in edge_ids:
         edge = net.edges[eid]
         if edge.tail != nodes[-1]:
             raise ValueError(f"edge {eid} does not continue the path at {nodes[-1]!r}")
         nodes.append(edge.head)
-    return nodes
-
-
-def render_path(net: Network, edge_ids: Sequence[int]) -> str:
-    return "->".join(path_nodes(net, edge_ids))
+    return "->".join(nodes)
 
 
 _DOT_COLORS = (

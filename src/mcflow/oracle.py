@@ -2,8 +2,9 @@
 comparison report against the greedy heuristic.
 
 The search space is every simple source-sink path of every commodity
-(enumerate_paths), each carrying an integer amount bounded by the remaining
-capacity along it, read from the network.
+(enumerate_paths, which never enters a node the sink cannot be reached
+from, so it ends soon after the path limit), each carrying an integer
+amount bounded by the remaining capacity along it, read from the network.
 One iterative branch and bound explores the amount vectors, and runs
 twice.  Each pass prunes a node whose bound cannot reach a target value.
 The descending pass tries high amounts first and raises its target past
@@ -72,7 +73,9 @@ def enumerate_paths(
 
     Iterative: one iterator over `Network.arcs` per node on the current
     trail, reading only the forward arcs, so path length is not bounded by
-    the interpreter's recursion limit."""
+    the interpreter's recursion limit.  It enters a node only if the sink
+    is reachable from it around the trail (Read & Tarjan 1975): only
+    subtrees without a path are skipped, and it enters O(limit * V) nodes."""
     arcs = net.arcs
     sink = arcs.index[commodity.sink]
     found: list[ColoredPath] = []
@@ -80,6 +83,20 @@ def enumerate_paths(
     nodes = [arcs.index[commodity.source]]
     on_trail = [False] * len(arcs.out)
     on_trail[nodes[0]] = True
+
+    def reaches_sink(v: int) -> bool:
+        # Depth first over forward arcs, never onto the trail.
+        seen = on_trail.copy()
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            if u == sink:
+                return True
+            if not seen[u]:
+                seen[u] = True
+                stack += [w for a, w in arcs.out[u] if not a & 1]
+        return False
+
     frames = [iter(arcs.out[nodes[0]])]
     while frames:
         step = next(frames[-1], None)
@@ -104,7 +121,7 @@ def enumerate_paths(
                 raise OracleLimitError(
                     f"commodity {commodity.index}: more than {limit} simple paths"
                 )
-        elif not on_trail[head]:
+        elif not on_trail[head] and reaches_sink(head):
             on_trail[head] = True
             nodes.append(head)
             trail.append(eid)

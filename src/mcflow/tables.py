@@ -1,11 +1,12 @@
 """The record of cuts and paths that greedy path selection reads.
 
 build_tables runs every commodity's max flow on the original network and
-decomposes each into paths, listed in commodity order.  A path's position
-in that list is its identity: it names the path's color (color_name) and
-indexes every per-path column.  The path itself holds its edges; their
-capacities are read from the network.  Besides each commodity's min cut
-and flow value, the tables record:
+keeps each one, in commodity order, with its value, min cut and paths.
+The paths of all the flows, listed in that order, are the tables' paths.
+A path's position in that list is its identity: it names the path's color
+(color_name) and indexes every per-path column.  The path itself holds its
+edges; their capacities are read from the network.  Besides the flows and
+the paths, the tables record:
 
     edge_paths        per edge: positions of the paths using it, ascending
     path_color_count  per path: distinct colors over its edges
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .maxflow import ColoredPath, Cut, max_flow
+from .maxflow import ColoredPath, FlowState, max_flow
 from .netmodel import Network
 
 __all__ = ["FlowTables", "build_tables", "color_name"]
@@ -52,14 +53,14 @@ def color_name(position: int) -> str:
 
 @dataclass(frozen=True)
 class FlowTables:
-    """Built once by build_tables and never changed."""
+    """Built once by build_tables and never changed; `flows[k]` is the max
+    flow of commodity k + 1."""
 
     network: Network
+    flows: tuple[FlowState, ...]
     paths: tuple[ColoredPath, ...]
     edge_paths: tuple[tuple[int, ...], ...]
     path_color_count: tuple[int, ...]
-    cuts: dict[int, Cut]
-    commodity_value: dict[int, int]
 
 
 def build_tables(net: Network) -> FlowTables:
@@ -68,14 +69,8 @@ def build_tables(net: Network) -> FlowTables:
     Every path owns its color, so a path's color count is the number of
     paths sharing one of its edges, itself included.
     """
-    paths: list[ColoredPath] = []
-    cuts: dict[int, Cut] = {}
-    commodity_value: dict[int, int] = {}
-    for com in net.commodities:
-        flow = max_flow(net, com.source, com.sink, commodity=com.index)
-        cuts[com.index] = flow.min_cut
-        commodity_value[com.index] = flow.value
-        paths.extend(flow.paths)
+    flows = tuple(max_flow(net, com) for com in net.commodities)
+    paths = tuple(path for flow in flows for path in flow.paths)
     edge_paths: list[list[int]] = [[] for _ in net.edges]
     for position, path in enumerate(paths):
         for eid in path.edges:
@@ -85,9 +80,8 @@ def build_tables(net: Network) -> FlowTables:
     )
     return FlowTables(
         network=net,
-        paths=tuple(paths),
+        flows=flows,
+        paths=paths,
         edge_paths=tuple(map(tuple, edge_paths)),
         path_color_count=color_count,
-        cuts=cuts,
-        commodity_value=commodity_value,
     )

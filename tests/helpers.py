@@ -27,16 +27,17 @@ from mcflow import (
     OracleLimitError,
     OracleResult,
     enumerate_paths,
-    path_nodes,
 )
 from mcflow.netmodel import _check_references, _commodity_color, _dot_quote
 
 
-def random_network(rng, max_nodes=8, max_edges=16, max_cap=10, commodity_range=(1, 1)):
+def random_network(
+    rng, max_nodes=8, max_edges=16, max_cap=10, commodity_range=(1, 1), min_nodes=2, min_edges=1
+):
     """Seeded random network; always a valid Network."""
-    node_count = rng.randint(2, max_nodes)
+    node_count = rng.randint(min_nodes, max_nodes)
     names = tuple(f"v{i}" for i in range(node_count))
-    edge_count = rng.randint(1, max_edges)
+    edge_count = rng.randint(min_edges, max_edges)
     edges = []
     for eid in range(edge_count):
         tail, head = rng.sample(range(node_count), 2)
@@ -210,17 +211,17 @@ def reference_augment(net: Network, edge_flow, found: Augmentation) -> tuple[int
     return tuple(flows)
 
 
-def reference_max_flow(net: Network, s: str, t: str, commodity: int = 0) -> FlowState:
+def reference_max_flow(net: Network, com: Commodity) -> FlowState:
     """Stepwise Edmonds-Karp: a fresh search and a new flow tuple per
     augmentation, then the min cut from a separate reachability pass and
     the paths from the reference decomposition."""
     flows = (0,) * len(net.edges)
     value = 0
-    while (found := reference_augmenting_path(net, flows, s, t)) is not None:
+    while (found := reference_augmenting_path(net, flows, com.source, com.sink)) is not None:
         flows = reference_augment(net, flows, found)
         value += found.leeway
-    f = FlowState(commodity, s, t, flows, value, reference_cut(net, flows, s), ())
-    return dataclasses.replace(f, paths=tuple(reference_decompose_cut_paths(net, f)))
+    f = FlowState(flows, value, reference_cut(net, flows, com.source), ())
+    return dataclasses.replace(f, paths=tuple(reference_decompose_cut_paths(net, com, f)))
 
 
 def reference_cut(net: Network, flows, s: str) -> Cut:
@@ -300,8 +301,8 @@ def reference_cancel_flow_cycles(net: Network, flows: list[int]) -> None:
             flows[eid] -= delta
 
 
-def reference_decompose_cut_paths(net: Network, f: FlowState) -> list[ColoredPath]:
-    """The dict-based decomposition of a max flow `f` that max_flow's
+def reference_decompose_cut_paths(net: Network, com: Commodity, f: FlowState) -> list[ColoredPath]:
+    """The dict-based decomposition of `com`'s max flow `f` that max_flow's
     decompose_cut_paths replaced: a restarted depth-first cycle search,
     then peeling walks that re-filter each node's out-edges at every step.
 
@@ -316,25 +317,26 @@ def reference_decompose_cut_paths(net: Network, f: FlowState) -> list[ColoredPat
     reference_cancel_flow_cycles(net, flows)
     paths: list[ColoredPath] = []
     peeled = 0
-    while any(flows[e.id] > 0 for e in out[f.source]):
+    while any(flows[e.id] > 0 for e in out[com.source]):
         walk: list[int] = []
-        v = f.source
-        while v != f.sink:
+        v = com.source
+        visited = [v]
+        while v != com.sink:
             candidates = [e for e in out[v] if flows[e.id] > 0]
             assert candidates, f"flow conservation broken at {v!r}"
             walk.append(candidates[0].id)
             v = candidates[0].head
+            visited.append(v)
             assert len(walk) <= len(net.edges), "cycle encountered during peeling"
         amount = min(flows[eid] for eid in walk)
         for eid in walk:
             flows[eid] -= amount
         peeled += amount
-        visited = path_nodes(net, walk)
         assert len(set(visited)) == len(visited), "peeled path is not simple"
         assert sum(1 for eid in walk if eid in cut_ids) == 1, (
             "path must cross the min cut exactly once"
         )
-        paths.append(ColoredPath(f.commodity, len(paths) + 1, tuple(walk), amount))
+        paths.append(ColoredPath(com.index, len(paths) + 1, tuple(walk), amount))
     assert peeled == f.value, "decomposition amounts must sum to the flow value"
     return paths
 
@@ -548,6 +550,32 @@ def reference_export_dot(net: Network, assignment) -> str:
         lines.append(f"  {_dot_quote(edge.tail)} -> {_dot_quote(edge.head)} [{attrs}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def reference_enumerate_paths(
+    net: Network, com: Commodity, limit: int = DEFAULT_MAX_PATHS
+) -> list[ColoredPath]:
+    """The unpruned walk that enumerate_paths prunes, over node names:
+    every simple source-sink path of `com`, depth first with lower edge ids
+    first, entering every node off the trail whether or not the sink is
+    still reachable from it.  Raises OracleLimitError past `limit`.
+    Recurses once per node on the trail, so keep networks small."""
+    out = reference_out_edges(net)
+    found: list[ColoredPath] = []
+
+    def walk(node: str, trail: tuple[int, ...], visited: frozenset[str]) -> None:
+        for edge in out[node]:
+            edges = (*trail, edge.id)
+            if edge.head == com.sink:
+                bottleneck = min(net.edges[eid].capacity for eid in edges)
+                found.append(ColoredPath(com.index, len(found) + 1, edges, bottleneck))
+                if len(found) > limit:
+                    raise OracleLimitError(f"commodity {com.index}: more than {limit} simple paths")
+            elif edge.head not in visited:
+                walk(edge.head, edges, visited | {edge.head})
+
+    walk(com.source, (), frozenset({com.source}))
+    return found
 
 
 def reference_optimal_value(

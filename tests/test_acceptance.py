@@ -102,7 +102,7 @@ def test_criterion_2_max_flow_equals_min_cut():
     started = time.perf_counter()
     for net in _single_commodity_corpus():
         com = net.commodities[0]
-        flow = max_flow(net, com.source, com.sink)
+        flow = max_flow(net, com)
         assert flow.value == flow.min_cut.capacity
         assert flow.value == brute_force_min_cut(net, com.source, com.sink)
     elapsed = time.perf_counter() - started
@@ -113,7 +113,7 @@ def test_criterion_2_max_flow_equals_min_cut():
 def test_criterion_3_decomposition_structure():
     for net in _single_commodity_corpus():
         com = net.commodities[0]
-        flow = max_flow(net, com.source, com.sink, commodity=com.index)
+        flow = max_flow(net, com)
         assert sum(p.bottleneck for p in flow.paths) == flow.value
         cut_ids = {e.id for e in flow.min_cut.cut_edges}
         for p in flow.paths:
@@ -141,8 +141,8 @@ def test_criterion_5_optimality_gap(tmp_path):
         report = gap_report(net, max_candidates=ORACLE_BUDGET)
         if report.optimum == report.inclusion_exclusion:
             # Exact by the cut bound alone: check that bound independently.
-            cuts = build_tables(net).cuts.values()
-            cut_union = {e.id for cut in cuts for e in cut.cut_edges}
+            flows = build_tables(net).flows
+            cut_union = {e.id for f in flows for e in f.min_cut.cut_edges}
             assert certified_cut_union_bound(net, cut_union) == report.optimum
         if report.truncated:
             truncated += 1
@@ -205,7 +205,7 @@ def test_criterion_6_bound_arithmetic():
     for _ in range(20):
         net = random_network(rng, max_nodes=10, max_edges=30, max_cap=9, commodity_range=(2, 10))
         tables = build_tables(net)
-        cuts = [tables.cuts[com.index] for com in net.commodities]
+        cuts = [f.min_cut for f in tables.flows]
         sets = [{e.id for e in cut.cut_edges} for cut in cuts]
         caps = {e.id: e.capacity for e in net.edges}
         bound = term_sum(cuts)

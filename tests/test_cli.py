@@ -244,7 +244,7 @@ class TestSolve:
         value = {r[0]: int(r[1]) for r in records if len(r) == 2}
         assert sum(1 for r in records if r[0] == "commodity_value") == 30
         tables = build_tables(net)
-        union = {e.id: e.capacity for cut in tables.cuts.values() for e in cut.cut_edges}
+        union = {e.id: e.capacity for f in tables.flows for e in f.min_cut.cut_edges}
         assert value["bound_inclusion_exclusion"] == sum(union.values())
         assert value["total"] <= value["bound_inclusion_exclusion"]
         assert value["bound_inclusion_exclusion"] <= value["bound_individual"]
@@ -456,6 +456,24 @@ class TestDeepNetworks:
         records = dict(line.split("\t")[:2] for line in out.splitlines())
         assert records["optimum"] == "1100"
         assert records["truncated"] == "false"
+
+    @pytest.mark.parametrize("command", ["gap", "oracle"])
+    def test_path_limit_reached_within_deadline(self, tmp_path, command):
+        # 200 nodes of out-degree 3: each commodity has far more than the
+        # 64 simple paths the oracle allows, and the trail wanders into
+        # huge subtrees that hold none.  The run must give up in seconds.
+        target = tmp_path / "wide.net"
+        target.write_text(render_network(regular_network(random.Random(2), 200, 3, 4)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mcflow", command, str(target), "--format", "structured"],
+            capture_output=True,
+            text=True,
+            env=_module_env(),
+            timeout=10,
+        )
+        assert (proc.returncode, proc.stderr) == (3, "")
+        records = dict(line.split("\t")[:2] for line in proc.stdout.splitlines())
+        assert records["truncated"] == "true"
 
 
 class TestExport:

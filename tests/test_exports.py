@@ -31,7 +31,6 @@ PUBLIC_NAMES = [
     "max_flow",
     "optimal_value",
     "parse_network",
-    "path_nodes",
     "render_path",
     "upper_bounds",
     "validate_assignment",

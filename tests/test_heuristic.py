@@ -99,8 +99,8 @@ class TestGreedySolve:
             net = random_network(rng, max_nodes=6, max_edges=10, commodity_range=(2, 3))
             t = build_tables(net)
             a = greedy_solve(t)
-            for com in net.commodities:
-                assert a.per_commodity_value[com.index] <= t.commodity_value[com.index]
+            for com, flow in zip(net.commodities, t.flows):
+                assert a.per_commodity_value[com.index] <= flow.value
 
     @settings(max_examples=50)
     @given(networks(max_nodes=6, max_edges=10, max_commodities=2))
@@ -243,7 +243,7 @@ def _term_sum(cuts):
 class TestInclusionExclusionBound:
     def test_golden_terms(self, golden_text):
         t = build_tables(parse_network(golden_text))
-        cuts = [t.cuts[1], t.cuts[2]]
+        cuts = [f.min_cut for f in t.flows]
         assert [cut.capacity for cut in cuts] == [15, 20]
         assert list(intersection_terms(cuts)) == [((1, 2), 0)]
         assert _term_sum(cuts) == 35 == upper_bounds(t).inclusion_exclusion
@@ -354,7 +354,7 @@ class TestUpperBounds:
                 rng, max_nodes=10, max_edges=30, max_cap=9, commodity_range=(1, 10)
             )
             t = build_tables(net)
-            ordered = [t.cuts[com.index] for com in net.commodities]
+            ordered = [f.min_cut for f in t.flows]
             sets = [{e.id for e in cut.cut_edges} for cut in ordered]
             caps = {e.id: e.capacity for e in net.edges}
             bound = _term_sum(ordered)

@@ -32,7 +32,7 @@ from mcflow import (
     greedy_solve,
     max_flow,
     parse_network,
-    path_nodes,
+    render_path,
 )
 from mcflow import maxflow
 from mcflow.maxflow import _cancel_flow_cycles
@@ -42,8 +42,8 @@ def assert_matches_reference(net):
     """The whole FlowState, min cut and paths included, equals the
     reference for every commodity."""
     for com in net.commodities:
-        f = max_flow(net, com.source, com.sink, commodity=com.index)
-        assert f == reference_max_flow(net, com.source, com.sink, commodity=com.index)
+        f = max_flow(net, com)
+        assert f == reference_max_flow(net, com)
 
 
 def assert_cancels_like_reference(net, edge_flow):
@@ -86,7 +86,7 @@ class TestFindAugmentingPath:
         net = parse_network(single_edge_text)
         assert reference_augmenting_path(net, (5,), "s", "t") is None
         # max_flow's own search agrees: it stops at the saturated flow
-        f = max_flow(net, "s", "t")
+        f = max_flow(net, net.commodity(1))
         assert f.edge_flow == (5,)
         assert [p.edges for p in f.paths] == [(0,)]
 
@@ -106,13 +106,13 @@ class TestFindAugmentingPath:
         found = reference_augmenting_path(net, (1, 1, 1, 0, 0), "s", "t")
         assert (1, False) in found.steps
         assert found.leeway == 1
-        f = max_flow(net, "s", "t")
+        f = max_flow(net, net.commodity(1))
         assert f.value == 2
-        assert f == reference_max_flow(net, "s", "t")
+        assert f == reference_max_flow(net, net.commodity(1))
 
     def test_unknown_node_rejected(self, golden_net):
-        with pytest.raises(ValueError, match="not in network"):
-            max_flow(golden_net, "s1", "zz")
+        with pytest.raises(ValueError, match="is not declared by the network"):
+            max_flow(golden_net, Commodity(1, "s1", "zz"))
 
     @settings(max_examples=60)
     @given(networks(max_nodes=6, max_edges=10))
@@ -165,9 +165,9 @@ class TestMatchesReference:
             "edge u y 1\nedge x w 1\nedge y w 1\nedge w t 1\n"
             "commodity s t\n"
         )
-        f = max_flow(net, "s", "t")
+        f = max_flow(net, net.commodity(1))
         assert f.edge_flow == (1, 1, 1, 1, 1, 1, 0, 1, 1)
-        assert f == reference_max_flow(net, "s", "t")
+        assert f == reference_max_flow(net, net.commodity(1))
 
     @settings(max_examples=100)
     @given(networks(max_nodes=7, max_edges=14, max_commodities=3))
@@ -208,10 +208,10 @@ class TestMatchesReference:
             "commodity s t\n"
         )
         assert augmenting_path_lengths(net, "s", "t") == [3, 3, 3, 3]
-        f = max_flow(net, "s", "t")
+        f = max_flow(net, net.commodity(1))
         assert f.value == 4
         assert f.edge_flow == (2, 1, 1, 1, 0, 0, 1, 1, 3, 1, 1)
-        assert f == reference_max_flow(net, "s", "t")
+        assert f == reference_max_flow(net, net.commodity(1))
 
     # Each phase's search grows whole levels from both ends, always on the
     # side with the smaller frontier (the source side on a tie).  The
@@ -262,7 +262,7 @@ class TestMatchesReference:
             + [f"a{i} b 5" for i in (1, 2, 3)]
             + ["b t 1", "x1 t 1", "x2 t 1", "y1 x1 1", "y2 x1 1", "y3 x2 1"],
         )
-        f = max_flow(net, "s", "t")
+        f = max_flow(net, net.commodity(1))
         assert f.min_cut.source_side == {"s", "a1", "a2", "a3", "b"}
         assert_matches_reference(net)
 
@@ -274,7 +274,7 @@ class TestMatchesReference:
             "s a x1 x2 x3 x4 x5 t",
             ["s a 5", "a t 1", "s x1 1"] + [f"x{i} x{i + 1} 1" for i in range(1, 5)],
         )
-        f = max_flow(net, "s", "t")
+        f = max_flow(net, net.commodity(1))
         assert f.min_cut.source_side == {"s", "a", "x1", "x2", "x3", "x4", "x5"}
         assert_matches_reference(net)
 
@@ -314,7 +314,7 @@ class TestMatchesReference:
 class TestMaxFlow:
     def test_single_edge_value_and_cut(self, single_edge_text):
         net = parse_network(single_edge_text)
-        f = max_flow(net, "s", "t")
+        f = max_flow(net, net.commodity(1))
         assert f.value == 5
         assert f.min_cut.capacity == 5
         assert [e.id for e in f.min_cut.cut_edges] == [0]
@@ -322,24 +322,37 @@ class TestMaxFlow:
 
     def test_golden_commodity_values(self, golden_net):
         # Frozen constants, re-derived here by the subset-enumeration oracle.
-        f1 = max_flow(golden_net, "s1", "t1", commodity=1)
-        f2 = max_flow(golden_net, "s2", "t2", commodity=2)
+        f1 = max_flow(golden_net, golden_net.commodity(1))
+        f2 = max_flow(golden_net, golden_net.commodity(2))
         assert f1.value == 15 == brute_force_min_cut(golden_net, "s1", "t1")
         assert f2.value == 20 == brute_force_min_cut(golden_net, "s2", "t2")
         assert sorted(e.id for e in f1.min_cut.cut_edges) == [0, 1]
         assert sorted(e.id for e in f2.min_cut.cut_edges) == [4, 6]
 
     def test_source_equals_sink_rejected(self, golden_net):
-        with pytest.raises(ValueError, match="source equals sink"):
-            max_flow(golden_net, "s1", "s1")
+        with pytest.raises(ValueError, match="is not declared by the network"):
+            max_flow(golden_net, Commodity(1, "s1", "s1"))
 
     def test_unknown_node_rejected(self, golden_net):
-        with pytest.raises(ValueError, match="not in network"):
-            max_flow(golden_net, "nope", "t1")
+        with pytest.raises(ValueError, match="is not declared by the network"):
+            max_flow(golden_net, Commodity(1, "nope", "t1"))
+
+    def test_undeclared_commodity_rejected(self, golden_net):
+        # The golden network declares s1 -> t1 and s2 -> t2.
+        undeclared = [
+            Commodity(0, "s1", "t1"),  # index out of range, below
+            Commodity(3, "s1", "t1"),  # and above
+            Commodity(1, "s2", "t2"),  # a declared index with other endpoints
+            Commodity(1, "s1", "t2"),
+            Commodity(2, "s1", "t1"),
+        ]
+        for com in undeclared:
+            with pytest.raises(ValueError, match="is not declared by the network"):
+                max_flow(golden_net, com)
 
     def test_disconnected_pair_has_zero_flow(self):
         net = parse_network("node s\nnode t\nedge t s 3\ncommodity s t\n")
-        f = max_flow(net, "s", "t")
+        f = max_flow(net, net.commodity(1))
         assert f.value == 0
         assert f.min_cut.capacity == 0
 
@@ -348,7 +361,7 @@ class TestMaxFlow:
         for _ in range(80):
             net = random_network(rng, max_nodes=7, max_edges=12)
             com = net.commodities[0]
-            f = max_flow(net, com.source, com.sink)
+            f = max_flow(net, com)
             assert f.value == f.min_cut.capacity
             assert f.value == brute_force_min_cut(net, com.source, com.sink)
             assert flow_is_feasible(net, f.edge_flow, com.source, com.sink)
@@ -361,36 +374,36 @@ class TestMaxFlow:
                     assert f.edge_flow[e.id] == 0
 
     def test_two_runs_identical(self, golden_net):
-        a = max_flow(golden_net, "s2", "t2")
-        b = max_flow(golden_net, "s2", "t2")
+        a = max_flow(golden_net, golden_net.commodity(2))
+        b = max_flow(golden_net, golden_net.commodity(2))
         assert a == b
 
     @settings(max_examples=60)
     @given(networks(max_nodes=6, max_edges=10))
     def test_value_equals_cut_and_flow_feasible(self, net):
         com = net.commodities[0]
-        f = max_flow(net, com.source, com.sink)
+        f = max_flow(net, com)
         assert f.value == f.min_cut.capacity
         assert flow_is_feasible(net, f.edge_flow, com.source, com.sink)
 
 
 class TestDecomposeCutPaths:
     def test_golden_commodity_1(self, golden_net):
-        paths = max_flow(golden_net, "s1", "t1", commodity=1).paths
+        paths = max_flow(golden_net, golden_net.commodity(1)).paths
         assert [(p.label, p.edges, p.bottleneck) for p in paths] == [
             ("P1.1", (0,), 5),
             ("P1.2", (1, 2, 3), 10),
         ]
 
     def test_golden_commodity_2(self, golden_net):
-        paths = max_flow(golden_net, "s2", "t2", commodity=2).paths
+        paths = max_flow(golden_net, golden_net.commodity(2)).paths
         assert [(p.label, p.edges, p.bottleneck) for p in paths] == [
             ("P2.1", (4, 1, 5), 10),
             ("P2.2", (6, 3, 7), 10),
         ]
 
     def test_paths_are_frozen(self, golden_net):
-        path = max_flow(golden_net, "s1", "t1", commodity=1).paths[0]
+        path = max_flow(golden_net, golden_net.commodity(1)).paths[0]
         with pytest.raises(dataclasses.FrozenInstanceError):
             path.bottleneck = 0
 
@@ -405,21 +418,21 @@ class TestDecomposeCutPaths:
 
     def test_zero_flow_on_disconnected_pair_gives_no_paths(self):
         net = parse_network("node s\nnode t\nedge t s 3\ncommodity s t\n")
-        assert max_flow(net, "s", "t").paths == ()
+        assert max_flow(net, net.commodity(1)).paths == ()
 
     def test_seeded_corpus_properties(self):
         rng = random.Random(2211)
         for _ in range(80):
             net = random_network(rng, max_nodes=7, max_edges=12)
             com = net.commodities[0]
-            f = max_flow(net, com.source, com.sink, commodity=com.index)
+            f = max_flow(net, com)
             paths = f.paths
             assert sum(p.bottleneck for p in paths) == f.value
             cut_ids = {e.id for e in f.min_cut.cut_edges}
             replay = [0] * len(net.edges)
             for p in paths:
                 assert p.bottleneck >= 1
-                nodes = path_nodes(net, p.edges)
+                nodes = render_path(net, p.edges).split("->")
                 assert nodes[0] == com.source and nodes[-1] == com.sink
                 assert len(set(nodes)) == len(nodes)
                 assert sum(1 for eid in p.edges if eid in cut_ids) == 1
@@ -432,7 +445,7 @@ class TestDecomposeCutPaths:
     @given(networks(max_nodes=6, max_edges=10))
     def test_decomposition_sums_to_value(self, net):
         com = net.commodities[0]
-        f = max_flow(net, com.source, com.sink, commodity=com.index)
+        f = max_flow(net, com)
         paths = f.paths
         assert sum(p.bottleneck for p in paths) == f.value
         assert [p.ordinal for p in paths] == list(range(1, len(paths) + 1))
@@ -449,10 +462,10 @@ class TestDecompositionMatchesReference:
         for _ in range(3000):
             net = random_network(rng, max_nodes=12, max_edges=80)
             com = net.commodities[0]
-            f = max_flow(net, com.source, com.sink, commodity=com.index)
+            f = max_flow(net, com)
             if reference_find_flow_cycle(net, list(f.edge_flow)) is not None:
                 with_cycles += 1
-            assert f.paths == tuple(reference_decompose_cut_paths(net, f))
+            assert f.paths == tuple(reference_decompose_cut_paths(net, com, f))
         assert with_cycles >= 1  # the comparison covers cycle cancelling
 
     def test_added_circulations(self):
@@ -463,7 +476,7 @@ class TestDecompositionMatchesReference:
         for _ in range(150):
             net = random_network(rng, max_nodes=8, max_edges=30, max_cap=6)
             com = net.commodities[0]
-            f = max_flow(net, com.source, com.sink, commodity=com.index)
+            f = max_flow(net, com)
             spun = add_circulations(net, f.edge_flow, rng)
             if reference_find_flow_cycle(net, list(spun)) is not None:
                 with_cycles += 1
@@ -536,7 +549,7 @@ class TestStressFixtures:
             "commodity s t\ncommodity b a\n"
         )
         assert_matches_reference(net)
-        f = max_flow(net, "s", "t")
+        f = max_flow(net, net.commodity(1))
         assert f.value == 0
         assert f.edge_flow == (0, 0, 0, 0)
         assert f.min_cut.source_side == frozenset({"s", "a"})
@@ -550,7 +563,7 @@ class TestStressFixtures:
             "commodity s t\n"
         )
         assert_matches_reference(net)
-        f = max_flow(net, "s", "t")
+        f = max_flow(net, net.commodity(1))
         assert (f.value, f.min_cut.source_side) == (0, frozenset({"s"}))
         assert [e.id for e in f.min_cut.cut_edges] == [0, 2, 3]
 
@@ -585,9 +598,7 @@ class TestPerNetworkCaches:
             ids.append(id(net))
             greedy_solve(build_tables(net))
             for com in net.commodities:
-                assert max_flow(
-                    net, com.source, com.sink, commodity=com.index
-                ) == reference_max_flow(net, com.source, com.sink, commodity=com.index)
+                assert max_flow(net, com) == reference_max_flow(net, com)
             del net
         assert len(set(ids)) < len(ids)  # ids were reused, so the check bites
 

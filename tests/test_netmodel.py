@@ -23,7 +23,6 @@ from mcflow import (
     export_dot,
     greedy_solve,
     parse_network,
-    path_nodes,
     render_path,
 )
 
@@ -218,15 +217,15 @@ class TestValidate:
 
 class TestPathHelpers:
     def test_path_nodes_golden(self, golden_net):
-        assert path_nodes(golden_net, [4, 1, 5]) == ["s2", "s1", "a", "t2"]
+        assert render_path(golden_net, [4, 1, 5]) == "s2->s1->a->t2"
         assert render_path(golden_net, [6, 3, 7]) == "s2->b->t1->t2"
 
     def test_path_nodes_rejects_gaps(self, golden_net):
-        with pytest.raises(ValueError):
-            path_nodes(golden_net, [0, 5])
+        with pytest.raises(ValueError, match="edge 5 does not continue the path at 't1'"):
+            render_path(golden_net, [0, 5])
 
     def test_empty_path(self, golden_net):
-        assert path_nodes(golden_net, []) == []
+        assert render_path(golden_net, []) == ""
 
 
 def _assignment(edge_flow):

@@ -13,9 +13,11 @@ from helpers import (
     exhaustive_best,
     networks,
     random_network,
+    reference_enumerate_paths,
     reference_optimal_value,
 )
 from mcflow import (
+    DEFAULT_MAX_PATHS,
     OracleLimitError,
     build_tables,
     enumerate_paths,
@@ -77,6 +79,30 @@ class TestEnumeratePaths:
             assert len(set(nodes)) == len(nodes)
             assert p.bottleneck == min(net.edges[eid].capacity for eid in p.edges)
 
+    def test_prune_matches_unpruned_walk(self):
+        # The reachability prune skips only subtrees without a path, so the
+        # paths, their order and bottlenecks, and the point and message of
+        # an overflow all stay those of the plain depth-first walk.
+        def outcome(enumerate, net, com, limit):
+            try:
+                return enumerate(net, com, limit)
+            except OracleLimitError as exc:
+                return str(exc)
+
+        rng = random.Random(1975)
+        compared = overflowed = 0
+        for _ in range(3000):
+            net = random_network(
+                rng, max_nodes=10, max_edges=30, commodity_range=(1, 3), min_nodes=3, min_edges=2
+            )
+            limit = rng.choice((4, 16, DEFAULT_MAX_PATHS))
+            for com in net.commodities:
+                expected = outcome(reference_enumerate_paths, net, com, limit)
+                assert outcome(enumerate_paths, net, com, limit) == expected
+                compared += 1
+                overflowed += isinstance(expected, str)
+        assert compared > 5000 and overflowed > 200
+
 
 class TestOptimalValue:
     def test_golden_optimum_and_witness(self, golden_net):
@@ -134,7 +160,7 @@ class TestOptimalValue:
             com = net.commodities[0]
             result = optimal_value(net, max_paths=200)
             assert not result.truncated
-            assert result.optimum == max_flow(net, com.source, com.sink).value
+            assert result.optimum == max_flow(net, com).value
 
     def test_matches_brute_force_product_enumeration(self):
         rng = random.Random(909)
@@ -293,7 +319,7 @@ class TestGapReport:
                 short_circuited += 1
                 assert len(searches) == before
                 assert report.optimum == greedy and report.gap == 0
-                cut_union = {e.id for cut in tables.cuts.values() for e in cut.cut_edges}
+                cut_union = {e.id for f in tables.flows for e in f.min_cut.cut_edges}
                 assert certified_cut_union_bound(net, cut_union) == bound
             else:
                 searched += 1
@@ -307,10 +333,10 @@ class TestGapReport:
         assert finished >= 250
 
     def test_certificate_needs_every_commodity_separated(self, golden_net):
-        cuts = build_tables(golden_net).cuts
-        union = {e.id for cut in cuts.values() for e in cut.cut_edges}
+        cuts = [f.min_cut for f in build_tables(golden_net).flows]
+        union = {e.id for cut in cuts for e in cut.cut_edges}
         assert certified_cut_union_bound(golden_net, union) == 35
-        for cut in cuts.values():
+        for cut in cuts:
             # One commodity's cut alone leaves the other commodity connected.
             assert certified_cut_union_bound(golden_net, {e.id for e in cut.cut_edges}) is None
         assert certified_cut_union_bound(golden_net, ()) is None

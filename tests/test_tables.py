@@ -12,6 +12,7 @@ from mcflow import (
     build_tables,
     color_name,
     greedy_solve,
+    max_flow,
     parse_network,
 )
 
@@ -72,11 +73,18 @@ class TestBuildTables:
 
     def test_golden_cuts_and_values(self, golden_text):
         t = fresh_golden(golden_text)
-        assert {k: sorted(e.id for e in c.cut_edges) for k, c in t.cuts.items()} == {
-            1: [0, 1],
-            2: [4, 6],
-        }
-        assert t.commodity_value == {1: 15, 2: 20}
+        assert [sorted(e.id for e in f.min_cut.cut_edges) for f in t.flows] == [[0, 1], [4, 6]]
+        assert [f.value for f in t.flows] == [15, 20]
+
+    def test_flows_are_the_commodities_max_flows(self):
+        # The tables keep each commodity's max flow as computed, in
+        # commodity order, and their paths are those flows' paths.
+        rng = random.Random(1717)
+        for _ in range(300):
+            net = random_network(rng, max_nodes=9, max_edges=24, commodity_range=(1, 4))
+            t = build_tables(net)
+            assert t.flows == tuple(max_flow(net, c) for c in net.commodities)
+            assert t.paths == tuple(p for f in t.flows for p in f.paths)
 
     def test_golden_audit_clean(self, golden_text):
         assert audit_tables(fresh_golden(golden_text)) == []
@@ -85,7 +93,7 @@ class TestBuildTables:
         t = build_tables(disjoint_net)
         assert t.path_color_count == (1, 1)
         assert [p.bottleneck for p in t.paths] == [4, 6]
-        assert t.commodity_value == {1: 4, 2: 6}
+        assert [f.value for f in t.flows] == [4, 6]
 
     def test_invalid_network_rejected(self):
         # No invalid network reaches build_tables: constructing one raises.
@@ -105,7 +113,7 @@ class TestBuildTables:
         t = build_tables(net)
         assert t.paths == ()
         assert t.edge_paths == ((), ())
-        assert t.commodity_value == {1: 0}
+        assert [f.value for f in t.flows] == [0]
         assert audit_tables(t) == []
 
     def test_golden_indexes(self, golden_text):
@@ -125,9 +133,9 @@ class TestBuildTables:
 
     def test_sum_of_path_amounts_matches_commodity_value(self, golden_text):
         t = fresh_golden(golden_text)
-        for com in t.network.commodities:
+        for com, flow in zip(t.network.commodities, t.flows):
             total = sum(p.bottleneck for p in t.paths if p.commodity == com.index)
-            assert total == t.commodity_value[com.index]
+            assert total == flow.value
 
 
 class TestColorCount:
