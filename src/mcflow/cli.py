@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: validate, maxflow, tables, solve, bound, oracle, gap, export.
-Every subcommand reads one network file (or - for standard input) and
+Every subcommand is listed once, with its options and its handler, in
+_COMMANDS.  Each reads one network file (or - for standard input) and
 writes its report to standard output; diagnostics go to standard error.
 
 Exit codes: 0 success, 2 parse or usage error or unreadable input (also
@@ -23,7 +23,6 @@ import sys
 from .heuristic import greedy_solve, intersection_terms, upper_bounds
 from .maxflow import max_flow
 from .netmodel import (
-    Commodity,
     Network,
     NetworkParseError,
     export_dot,
@@ -52,47 +51,6 @@ def _budget(text: str) -> int:
     return value
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser, built on first use rather than at import."""
-    parser = argparse.ArgumentParser(
-        prog="mcflow",
-        description="Multicommodity max-flow heuristic over capacitated networks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", help="network file, or - for standard input")
-        p.add_argument(
-            "--format",
-            choices=("human", "structured"),
-            default="human",
-            help="output style (default: human)",
-        )
-        return p
-
-    add("validate", "check the network invariants")
-    p = add("maxflow", "single-commodity max flow, min cut, and decomposition")
-    p.add_argument("--commodity", type=int, required=True, help="1-based commodity index")
-    add("tables", "build and print the five selection tables")
-    add("solve", "run the greedy multicommodity heuristic")
-    add("bound", "cut-intersection upper bound report")
-    p = add("oracle", "exact optimum by exhaustive path-flow search")
-    p.add_argument("--max-paths", type=_budget, default=DEFAULT_MAX_PATHS)
-    p.add_argument("--max-candidates", type=_budget, default=DEFAULT_MAX_CANDIDATES)
-    p = add("gap", "greedy heuristic vs exact oracle comparison")
-    p.add_argument("--max-paths", type=_budget, default=DEFAULT_MAX_PATHS)
-    p.add_argument("--max-candidates", type=_budget, default=DEFAULT_MAX_CANDIDATES)
-    p = add("export", "Graphviz DOT export")
-    p.add_argument(
-        "--assignment",
-        action="store_true",
-        help="overlay the greedy flow on the edge labels",
-    )
-    return parser
-
-
 def _read_input(source: str) -> str:
     if source == "-":
         return sys.stdin.read()
@@ -100,21 +58,37 @@ def _read_input(source: str) -> str:
         return handle.read()
 
 
-def _rows(records: list[tuple]) -> str:
-    return "\n".join("\t".join(str(field) for field in record) for record in records)
+def _print_rows(records: list[tuple]) -> None:
+    """One tab-separated line per record; no records print nothing."""
+    if records:
+        print("\n".join("\t".join(str(field) for field in record) for record in records))
+
+
+def _print_fields(fields: list[tuple[str, str, object]], structured: bool) -> None:
+    """(record key, human label, value) triples, one line each."""
+    print("\n".join(f"{k}\t{v}" if structured else f"{label}: {v}" for k, label, v in fields))
 
 
 def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _cmd_validate(structured: bool) -> int:
+def _cmd_validate(net: Network, args: argparse.Namespace, structured: bool) -> int:
     """A parsed network is valid, so there is nothing left to report."""
     print("violations\t0" if structured else "ok")
     return 0
 
 
-def _cmd_maxflow(net: Network, com: Commodity, structured: bool) -> int:
+def _cmd_maxflow(net: Network, args: argparse.Namespace, structured: bool) -> int:
+    try:
+        com = net.commodity(args.commodity)
+    except ValueError:
+        print(
+            f"error: no commodity with index {args.commodity}"
+            f" (network declares {len(net.commodities)})",
+            file=sys.stderr,
+        )
+        return 2
     flow = max_flow(net, com)
     cut = flow.min_cut
     if structured:
@@ -133,7 +107,7 @@ def _cmd_maxflow(net: Network, com: Commodity, structured: bool) -> int:
         records += [
             ("path", p.label, p.bottleneck, render_path(net, p.edges)) for p in flow.paths
         ]
-        print(_rows(records))
+        _print_rows(records)
     else:
         print(f"commodity {com.index}: {com.source} -> {com.sink}")
         print(f"max flow value: {flow.value}")
@@ -150,7 +124,7 @@ def _cmd_maxflow(net: Network, com: Commodity, structured: bool) -> int:
     return 0
 
 
-def _cmd_tables(net: Network, structured: bool) -> int:
+def _cmd_tables(net: Network, args: argparse.Namespace, structured: bool) -> int:
     """Print freshly built tables: residuals are still the capacities,
     every path is active and keeps its color on every edge it uses."""
     tables = build_tables(net)
@@ -174,7 +148,7 @@ def _cmd_tables(net: Network, structured: bool) -> int:
             records.append(("cut", com.index, cut.capacity))
             records += [("cut_edge", com.index, e.id) for e in cut.cut_edges]
             records.append(("commodity_flow", com.index, flow.value))
-        print(_rows(records))
+        _print_rows(records)
     else:
         edge_label = {
             e.id: f"e{e.id} {e.tail}->{e.head}" for e in net.edges
@@ -205,7 +179,7 @@ def _cmd_tables(net: Network, structured: bool) -> int:
     return 0
 
 
-def _cmd_solve(net: Network, structured: bool) -> int:
+def _cmd_solve(net: Network, args: argparse.Namespace, structured: bool) -> int:
     tables = build_tables(net)
     bounds = upper_bounds(tables)
     assignment = greedy_solve(tables)
@@ -229,7 +203,7 @@ def _cmd_solve(net: Network, structured: bool) -> int:
         records.append(("total", assignment.total_value))
         records.append(("bound_individual", bounds.individual_total))
         records.append(("bound_inclusion_exclusion", bounds.inclusion_exclusion))
-        print(_rows(records))
+        _print_rows(records)
     else:
         print("color counts:")
         for path, n in zip(tables.paths, tables.path_color_count):
@@ -251,7 +225,7 @@ def _cmd_solve(net: Network, structured: bool) -> int:
     return 0
 
 
-def _cmd_bound(net: Network, structured: bool) -> int:
+def _cmd_bound(net: Network, args: argparse.Namespace, structured: bool) -> int:
     """Cut sums, then each subset term as it is computed, then the bound:
     one term in memory at a time, whatever the number of commodities."""
     tables = build_tables(net)
@@ -275,8 +249,8 @@ def _cmd_bound(net: Network, structured: bool) -> int:
     return 0
 
 
-def _cmd_oracle(net: Network, max_paths: int, max_candidates: int, structured: bool) -> int:
-    result = optimal_value(net, max_paths=max_paths, max_candidates=max_candidates)
+def _cmd_oracle(net: Network, args: argparse.Namespace, structured: bool) -> int:
+    result = optimal_value(net, max_paths=args.max_paths, max_candidates=args.max_candidates)
     if structured:
         records: list[tuple] = [
             ("path", p.commodity, p.ordinal, p.bottleneck, render_path(net, p.edges))
@@ -286,95 +260,108 @@ def _cmd_oracle(net: Network, max_paths: int, max_candidates: int, structured: b
             ("witness", p.commodity, p.ordinal, amount)
             for p, amount in zip(result.paths, result.witness)
         ]
-        records.append(("optimum", result.optimum))
-        records.append(("explored", result.explored))
-        records.append(("truncated", _bool(result.truncated)))
-        print(_rows(records))
-    else:
-        if result.paths:
-            print("paths:")
-            for path, amount in zip(result.paths, result.witness):
-                print(
-                    f"  commodity {path.commodity} #{path.ordinal}:"
-                    f" {render_path(net, path.edges)}"
-                    f" carries {amount} (max {path.bottleneck})"
-                )
-        print(f"optimum: {result.optimum}")
-        print(f"explored: {result.explored}")
-        print(f"truncated: {_bool(result.truncated)}")
+        _print_rows(records)
+    elif result.paths:
+        print("paths:")
+        for path, amount in zip(result.paths, result.witness):
+            print(
+                f"  commodity {path.commodity} #{path.ordinal}:"
+                f" {render_path(net, path.edges)}"
+                f" carries {amount} (max {path.bottleneck})"
+            )
+    fields = [
+        ("optimum", "optimum", result.optimum),
+        ("explored", "explored", result.explored),
+        ("truncated", "truncated", _bool(result.truncated)),
+    ]
+    _print_fields(fields, structured)
     return 3 if result.truncated else 0
 
 
-def _cmd_gap(net: Network, max_paths: int, max_candidates: int, structured: bool) -> int:
-    report = gap_report(net, max_paths=max_paths, max_candidates=max_candidates)
-    if structured:
-        records: list[tuple] = [
-            ("heuristic", report.heuristic_value),
-            ("optimum", report.optimum),
-            ("individual_sum", report.individual_total),
-            ("inclusion_exclusion", report.inclusion_exclusion),
-            ("gap", report.gap),
-            ("truncated", _bool(report.truncated)),
-        ]
-        print(_rows(records))
-    else:
-        print(f"greedy heuristic: {report.heuristic_value}")
-        print(f"oracle optimum: {report.optimum}")
-        print(f"individual max-flow sum: {report.individual_total}")
-        print(f"cut inclusion-exclusion: {report.inclusion_exclusion}")
-        print(f"gap (optimum - heuristic): {report.gap}")
-        print(f"truncated: {_bool(report.truncated)}")
+def _cmd_gap(net: Network, args: argparse.Namespace, structured: bool) -> int:
+    report = gap_report(net, max_paths=args.max_paths, max_candidates=args.max_candidates)
+    fields = [
+        ("heuristic", "greedy heuristic", report.heuristic_value),
+        ("optimum", "oracle optimum", report.optimum),
+        ("individual_sum", "individual max-flow sum", report.individual_total),
+        ("inclusion_exclusion", "cut inclusion-exclusion", report.inclusion_exclusion),
+        ("gap", "gap (optimum - heuristic)", report.gap),
+        ("truncated", "truncated", _bool(report.truncated)),
+    ]
+    _print_fields(fields, structured)
     return 3 if report.truncated else 0
 
 
-def _cmd_export(net: Network, with_assignment: bool) -> int:
-    assignment = None
-    if with_assignment:
-        assignment = greedy_solve(build_tables(net))
+def _cmd_export(net: Network, args: argparse.Namespace, structured: bool) -> int:
+    assignment = greedy_solve(build_tables(net)) if args.assignment else None
     sys.stdout.write(export_dot(net, assignment))
     return 0
 
 
+# The oracle's limits, shared by oracle and gap.
+_LIMITS = [
+    ("--max-paths", {"type": _budget, "default": DEFAULT_MAX_PATHS}),
+    ("--max-candidates", {"type": _budget, "default": DEFAULT_MAX_CANDIDATES}),
+]
+
+# Each subcommand: its help text, its own options and its handler.
+_COMMANDS = {
+    "validate": ("check the network invariants", [], _cmd_validate),
+    "maxflow": (
+        "single-commodity max flow, min cut, and decomposition",
+        [("--commodity", {"type": int, "required": True, "help": "1-based commodity index"})],
+        _cmd_maxflow,
+    ),
+    "tables": ("build and print the five selection tables", [], _cmd_tables),
+    "solve": ("run the greedy multicommodity heuristic", [], _cmd_solve),
+    "bound": ("cut-intersection upper bound report", [], _cmd_bound),
+    "oracle": ("exact optimum by exhaustive path-flow search", _LIMITS, _cmd_oracle),
+    "gap": ("greedy heuristic vs exact oracle comparison", _LIMITS, _cmd_gap),
+    "export": (
+        "Graphviz DOT export",
+        [
+            (
+                "--assignment",
+                {"action": "store_true", "help": "overlay the greedy flow on the edge labels"},
+            )
+        ],
+        _cmd_export,
+    ),
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use rather than at import."""
+    parser = argparse.ArgumentParser(
+        prog="mcflow",
+        description="Multicommodity max-flow heuristic over capacitated networks.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, options, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("input", help="network file, or - for standard input")
+        p.add_argument(
+            "--format",
+            choices=("human", "structured"),
+            default="human",
+            help="output style (default: human)",
+        )
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(handler=handler)
+    return parser
+
+
 def run(argv: list[str]) -> int:
-    """Parse arguments and dispatch; returns the process exit code."""
+    """Parse arguments, read the network, run its handler; returns the exit code."""
     args = _parser().parse_args(argv)
     try:
-        text = _read_input(args.input)
-    except (OSError, UnicodeDecodeError) as exc:
+        net = parse_network(_read_input(args.input))
+    except (OSError, UnicodeDecodeError, NetworkParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        net = parse_network(text)
-    except NetworkParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    structured = getattr(args, "format", "human") == "structured"
-    if args.command == "validate":
-        return _cmd_validate(structured)
-    if args.command == "maxflow":
-        try:
-            com = net.commodity(args.commodity)
-        except ValueError:
-            print(
-                f"error: no commodity with index {args.commodity}"
-                f" (network declares {len(net.commodities)})",
-                file=sys.stderr,
-            )
-            return 2
-        return _cmd_maxflow(net, com, structured)
-    if args.command == "tables":
-        return _cmd_tables(net, structured)
-    if args.command == "solve":
-        return _cmd_solve(net, structured)
-    if args.command == "bound":
-        return _cmd_bound(net, structured)
-    if args.command == "oracle":
-        return _cmd_oracle(net, args.max_paths, args.max_candidates, structured)
-    if args.command == "gap":
-        return _cmd_gap(net, args.max_paths, args.max_candidates, structured)
-    if args.command == "export":
-        return _cmd_export(net, args.assignment)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return args.handler(net, args, args.format == "structured")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -4,7 +4,7 @@ The text format is line oriented, UTF-8, one directive per line:
 
     # comment                        ignored, as are blank lines
     node <name>                      name: printable, no whitespace
-    edge <tail> <head> <capacity>    capacity: ASCII decimal digits only
+    edge <tail> <head> <capacity>    capacity: at most 4000 ASCII digits
     commodity <source> <sink>
 
 Every node must be declared before the first edge or commodity line that
@@ -123,6 +123,9 @@ class Network:
 
 
 _DIRECTIVE_ARITY = {"node": 2, "edge": 4, "commodity": 3}
+# Every reported total is then at most K * E * 10**4000, which str() can
+# still print under the interpreter's default limit of 4300 digits.
+_MAX_CAPACITY_DIGITS = 4000
 
 
 def parse_network(text: str) -> Network:
@@ -176,9 +179,13 @@ def parse_network(text: str) -> Network:
                 )
             if cap_token.startswith("-"):
                 raise NetworkParseError(lineno, f"negative capacity {cap_token}")
+            if len(digits) > _MAX_CAPACITY_DIGITS:
+                raise NetworkParseError(
+                    lineno, f"capacity has more than {_MAX_CAPACITY_DIGITS} digits"
+                )
             try:
                 capacity = int(cap_token)
-            except ValueError:  # past the interpreter's integer-digit limit
+            except ValueError:  # past a lowered PYTHONINTMAXSTRDIGITS
                 raise NetworkParseError(
                     lineno, f"capacity {cap_token!r} is not an integer"
                 ) from None

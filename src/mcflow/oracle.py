@@ -151,7 +151,7 @@ def optimal_value(
     # Static suffix bound from full capacities: cheap first-stage prune.
     static_suffix = [0] * (m + 1)
     for k in range(m - 1, -1, -1):
-        static_suffix[k] = static_suffix[k + 1] + min(residual[e] for e in paths[k].edges)
+        static_suffix[k] = static_suffix[k + 1] + paths[k].bottleneck
     amounts = [0] * m
     best_vector = [0] * m
     explored = 0

@@ -3,6 +3,7 @@
 import io
 import os
 import random
+import re
 import select
 import shutil
 import subprocess
@@ -476,6 +477,61 @@ class TestDeepNetworks:
         assert records["truncated"] == "true"
 
 
+# Every subcommand, with a node budget that keeps the oracle's search short.
+EVERY_COMMAND = [
+    ["validate"],
+    ["maxflow", "--commodity", "1"],
+    ["tables"],
+    ["solve"],
+    ["bound"],
+    ["oracle", "--max-candidates", "1000"],
+    ["gap"],
+    ["export", "--assignment"],
+]
+
+
+class TestHugeCapacities:
+    """Two parallel a->b edges and two a->b commodities.  Reports print
+    sums of capacities, which str() refuses past 4300 digits, so the
+    parser caps a capacity at 4000 digits."""
+
+    @staticmethod
+    def _run(tmp_path, capacity, argv, **env):
+        target = tmp_path / "huge.net"
+        target.write_text(
+            f"node a\nnode b\nedge a b {capacity}\nedge a b {capacity}\n"
+            "commodity a b\ncommodity a b\n"
+        )
+        command, *options = argv
+        return subprocess.run(
+            [sys.executable, "-m", "mcflow", command, str(target), *options],
+            capture_output=True,
+            text=True,
+            env={**_module_env(), **env},
+            timeout=30,
+        )
+
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+    def test_more_than_4000_digits_is_a_parse_error(self, tmp_path, argv):
+        proc = self._run(tmp_path, "9" * 4300, argv)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: line 3: capacity has more than 4000 digits\n"
+
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+    def test_4000_digits_print_every_total(self, tmp_path, argv):
+        proc = self._run(tmp_path, "9" * 4000, argv)
+        assert proc.returncode == (3 if argv[0] == "oracle" else 0)
+        assert proc.stderr == ""
+        # Every report but validate's prints at least one 4000-digit number.
+        assert re.search(r"\d{4000}", proc.stdout) or argv == ["validate"]
+
+    def test_lowered_interpreter_digit_limit_is_a_parse_error(self, tmp_path):
+        proc = self._run(tmp_path, "9" * 1000, ["solve"], PYTHONINTMAXSTRDIGITS="640")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: line 3: capacity '999")
+        assert proc.stderr.endswith("' is not an integer\n")
+
+
 class TestExport:
     def test_plain_dot(self, capsys):
         code, out, _ = invoke(capsys, ["export", GOLDEN])
@@ -547,12 +603,18 @@ class TestExitCodesAndInput:
     @pytest.mark.parametrize("command", ["oracle", "gap"])
     @pytest.mark.parametrize("option", ["--max-paths", "--max-candidates"])
     def test_negative_budget_is_usage_error(self, capsys, command, option):
-        with pytest.raises(SystemExit) as exc:
-            run([command, GOLDEN, option, "-5"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"{option}: must not be negative: -5" in captured.err
+        # Non-integer budgets are usage errors too.
+        for value, message in [
+            ("-5", "must not be negative: -5"),
+            ("abc", "invalid int value: 'abc'"),
+            ("1.5", "invalid int value: '1.5'"),
+        ]:
+            with pytest.raises(SystemExit) as exc:
+                run([command, GOLDEN, option, value])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{option}: {message}" in captured.err
 
     def test_stdin_dash(self, capsys, monkeypatch, golden_text):
         monkeypatch.setattr(sys, "stdin", io.StringIO(golden_text))

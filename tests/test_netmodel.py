@@ -104,6 +104,14 @@ class TestParse:
         assert excinfo.value.line == line
         assert fragment in str(excinfo.value)
 
+    def test_capacity_has_at_most_4000_digits(self):
+        head = "node s\nnode t\nedge s t "
+        net = parse_network(head + "9" * 4000 + "\ncommodity s t\n")
+        assert net.edges[0].capacity == 10**4000 - 1
+        with pytest.raises(NetworkParseError) as excinfo:
+            parse_network(head + "1" + "0" * 4000 + "\ncommodity s t\n")
+        assert str(excinfo.value) == "line 3: capacity has more than 4000 digits"
+
     def test_node_after_use_is_fine_if_declared_before(self):
         # Declaration must precede use; later extra nodes are no problem.
         net = parse_network(
