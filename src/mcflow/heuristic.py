@@ -65,9 +65,9 @@ def greedy_solve(tables: FlowTables) -> Assignment:
     """
     paths = tables.paths
     edge_paths = tables.edge_paths
-    residual = [e.capacity for e in tables.network.edges]
+    residual = list(tables.network.arcs.capacity)
     active = [True] * len(paths)
-    colors = [set(positions) for positions in edge_paths]
+    colors = {eid: set(positions) for eid, positions in enumerate(edge_paths) if positions}
     counts = list(tables.path_color_count)
     shipments: list[tuple[ColoredPath, int]] = []
     discarded: list[ColoredPath] = []

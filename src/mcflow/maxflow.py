@@ -1,24 +1,21 @@
 """Single-commodity maximum flow and its decomposition into paths.
 
 Both run on the network's integer residual arcs (`Network.arcs`, built
-once per network): arc 2*e is edge e forward, arc 2*e+1 is edge e
-backward, and each node lists its forward arcs, then its backward arcs,
-each in edge-id order.
-
-max_flow augments along Edmonds-Karp's paths over one list `res` of 2E
-residual capacities; pushing d units along arc a is
-`res[a] -= d; res[a ^ 1] += d`, so the flow on edge e is `res[2*e + 1]`.
-Edmonds-Karp's search, tried in `out` order (forward before backward,
-lower edge ids first), picks the shortest residual path whose arc
-positions are lexicographically smallest.  max_flow finds the same paths
-in phases, each labeled by one search grown from both ends, so the same
-input always gives the same paths, flows and min cut.
+once per network), where arc 2*e is edge e forward and arc 2*e+1 is edge e
+backward.  max_flow augments over one list `res` of 2E residual
+capacities; pushing d units along arc a is `res[a] -= d; res[a ^ 1] += d`,
+so the flow on edge e is `res[2*e + 1]`.  Its paths are Edmonds-Karp's:
+the shortest residual paths whose arc positions in `out` order are
+lexicographically smallest, found in phases, each labeled by one search
+grown from both ends, so the same input always gives the same paths,
+flows and min cut.
 
 The search that finds the sink out of reach labels the source side of the
-canonical min cut.  max_flow then hands its flows and those labels to
-decompose_cut_paths, which cancels any flow cycles and peels simple
-source-sink paths, lowest edge id first, over per-node lists of the edges
-carrying flow; each path crosses that cut exactly once.
+canonical min cut, whose edges are read from the smaller side.  max_flow
+then hands its flows and those labels to decompose_cut_paths, which
+cancels any flow cycles and peels simple source-sink paths, lowest edge id
+first; each path crosses that cut exactly once.  Both read only the edges
+the augmentations pushed on, so they cost O(support), not O(V + E).
 """
 
 from __future__ import annotations
@@ -139,17 +136,17 @@ def _search(
 
 
 def _source_cut(net: Network, depth: Sequence[int], levels: list[list[int]]) -> Cut:
-    """The cut around the source side that _search returned."""
-    leaving = []
-    for level in levels:
-        for v in level:
-            for a, w in net.arcs.out[v]:
-                if a & 1:  # the backward arcs follow the forward ones
-                    break
-                if depth[w] < 0:
-                    leaving.append(a >> 1)
+    """The cut around the source side that _search returned, read on the smaller side."""
+    out = net.arcs.out
+    if 2 * sum(map(len, levels)) <= len(out):
+        inside = [v for level in levels for v in level]
+        leaving = [a >> 1 for v in inside for a, w in out[v] if not a & 1 and depth[w] < 0]
+        side = frozenset(net.nodes[v] for v in inside)
+    else:
+        outside = [v for v, d in enumerate(depth) if d < 0]
+        leaving = [a >> 1 for w in outside for a, u in out[w] if a & 1 and depth[u] >= 0]
+        side = frozenset(net.nodes).difference([net.nodes[w] for w in outside])
     cut_edges = tuple(net.edges[e] for e in sorted(leaving))
-    side = frozenset(net.nodes[v] for level in levels for v in level)
     return Cut(side, cut_edges, sum(e.capacity for e in cut_edges))
 
 
@@ -175,6 +172,7 @@ def max_flow(net: Network, com: Commodity) -> FlowState:
     res = [0] * (2 * len(net.edges))
     res[0::2] = arcs.capacity
     value = 0
+    pushed: set[int] = set()  # every arc an augmentation pushed on
     budget = sum(res[a] for a, _ in out[si])
     rounds = 0
     while True:
@@ -197,6 +195,7 @@ def max_flow(net: Network, com: Commodity) -> FlowState:
                 for a in path:
                     res[a] -= leeway
                     res[a ^ 1] += leeway
+                pushed.update(path)
                 value += leeway
                 rounds += 1
                 assert rounds <= budget, "augmentation count exceeded total source capacity"
@@ -226,39 +225,44 @@ def max_flow(net: Network, com: Commodity) -> FlowState:
     cut = _source_cut(net, dist, levels)
     assert com.sink not in cut.source_side
     assert value == cut.capacity, "flow value must equal the reachability cut capacity"
-    paths = decompose_cut_paths(net, com.index, si, ti, res[1::2], dist, value)
+    # Only the edges pushed on can carry flow; arc a | 1's residual is the
+    # flow on arc a's edge.
+    flows = {a >> 1: res[a | 1] for a in sorted(pushed)}
+    paths = decompose_cut_paths(net, com, flows, dist, value)
     return FlowState(tuple(res[1::2]), value, cut, paths)
 
 
-def _cancel_flow_cycles(net: Network, flows: list[int]) -> list[list[tuple[int, int]]]:
+def _cancel_flow_cycles(net: Network, flows: dict[int, int]) -> dict[int, list[tuple[int, int]]]:
     """Zero every directed cycle of the positive-flow subgraph, in place.
 
-    Backward augmentations can leave flow cycles; they carry no
-    source-sink value.  Returns `positive`: per node v, (edge id, head) for
-    the edges leaving v with positive flow before cancelling, in id order;
-    the search skips entries whose flow has dropped to zero.  Each pass is
-    a depth-first search over the nodes in order; the first edge into a
-    node on the current trail closes a cycle, whose smallest flow is
-    cancelled before the search starts again.
+    `flows` maps edge ids, ascending, to their flow and holds every edge
+    with positive flow; max_flow passes only the edges it pushed on.
+    Backward augmentations can leave flow cycles; they carry no source-sink
+    value.  Returns `positive`: per node with positive out-flow before
+    cancelling, (edge id, head) for those edges, highest id first.  Each
+    pass is a depth-first search from those nodes in order, taking their
+    edges lowest id first and skipping those whose flow has dropped to
+    zero; the first edge into a node on the current trail closes a cycle,
+    whose smallest flow is cancelled before the search starts again.
     """
     tail = net.arcs.tail
-    positive: list[list[tuple[int, int]]] = [[] for _ in net.arcs.out]
-    for eid, amount in enumerate(flows):
+    positive: dict[int, list[tuple[int, int]]] = {}
+    for eid, amount in reversed(flows.items()):
         if amount > 0:
-            positive[tail[2 * eid]].append((eid, tail[2 * eid + 1]))
+            positive.setdefault(tail[2 * eid], []).append((eid, tail[2 * eid + 1]))
     while True:
-        state = [0] * len(positive)  # 0 unvisited, 1 on the trail, 2 done
+        state: dict[int, int] = {}  # 1 on the trail, 2 done; unvisited nodes are absent
         cycle: list[int] | None = None
-        for start in range(len(positive)):
-            if state[start] or not positive[start]:  # no flow out, no cycle
+        for start in sorted(positive):
+            if start in state:
                 continue
             state[start] = 1
             nodes = [start]  # trail[i] joins nodes[i] to nodes[i + 1]
             trail: list[int] = []
-            frames = [iter(positive[start])]
+            frames = [reversed(positive[start])]
             while frames:
                 for eid, head in frames[-1]:
-                    if flows[eid] > 0 and state[head] != 2:
+                    if flows[eid] > 0 and state.get(head) != 2:
                         break
                 else:
                     state[nodes.pop()] = 2
@@ -266,13 +270,13 @@ def _cancel_flow_cycles(net: Network, flows: list[int]) -> list[list[tuple[int, 
                     if trail:
                         trail.pop()
                     continue
-                if state[head] == 1:
+                if state.get(head) == 1:
                     cycle = [eid, *trail[nodes.index(head):]]
                     break
                 state[head] = 1
                 nodes.append(head)
                 trail.append(eid)
-                frames.append(iter(positive[head]))
+                frames.append(reversed(positive.get(head, ())))
             if cycle is not None:
                 break
         if cycle is None:
@@ -284,27 +288,25 @@ def _cancel_flow_cycles(net: Network, flows: list[int]) -> list[list[tuple[int, 
 
 # Module-level under this name because perfbench/spans.py times it and counts its paths.
 def decompose_cut_paths(
-    net: Network, commodity: int, s: int, t: int, flows: list[int], depth: list[int], value: int
+    net: Network, com: Commodity, flows: dict[int, int], depth: list[int], value: int
 ) -> tuple[ColoredPath, ...]:
-    """Peel max_flow's final edge flows into simple s-t paths, zeroing `flows`.
+    """Peel max_flow's sparse final edge flows into simple paths of `com`, zeroing them.
 
     `depth` is -1 exactly outside the min cut's source side, as the last
     search left it.  Deterministic: flow cycles are cancelled first, then
-    the walk following the lowest-id positive-flow edge out of each node
-    is peeled by its bottleneck, repeatedly, until the source has no
-    positive out-flow.
+    the walk following the lowest-id positive-flow edge out of each node is
+    peeled by its bottleneck, repeatedly, until the source has no positive
+    out-flow.
     """
+    s, t = net.arcs.index[com.source], net.arcs.index[com.sink]
     tail = net.arcs.tail
     positive = _cancel_flow_cycles(net, flows)
-    first = [0] * len(positive)  # entries before it carry no flow any more
 
     def next_edge(v: int) -> tuple[int, int] | None:
-        edges = positive[v]
-        i = first[v]
-        while i < len(edges) and flows[edges[i][0]] == 0:
-            i += 1
-        first[v] = i
-        return edges[i] if i < len(edges) else None
+        edges = positive.get(v)
+        while edges and flows[edges[-1][0]] == 0:
+            edges.pop()  # spent for good: flows only fall
+        return edges[-1] if edges else None
 
     paths: list[ColoredPath] = []
     peeled = 0
@@ -326,6 +328,6 @@ def decompose_cut_paths(
         assert len(set(visited)) == len(visited), "peeled path is not simple"
         crossed = sum(depth[tail[2 * e]] >= 0 and depth[tail[2 * e + 1]] < 0 for e in walk)
         assert crossed == 1, "path must cross the min cut exactly once"
-        paths.append(ColoredPath(commodity, len(paths) + 1, tuple(walk), amount))
+        paths.append(ColoredPath(com.index, len(paths) + 1, tuple(walk), amount))
     assert peeled == value, "decomposition amounts must sum to the flow value"
     return tuple(paths)

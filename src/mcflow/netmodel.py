@@ -15,6 +15,7 @@ self-loops are not, and zero-capacity edges are allowed.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -124,7 +125,8 @@ class Network:
 
 _DIRECTIVE_ARITY = {"node": 2, "edge": 4, "commodity": 3}
 # Every reported total is then at most K * E * 10**4000, which str() can
-# still print under the interpreter's default limit of 4300 digits.
+# still print under the interpreter's default limit of 4300 digits; under a
+# lowered limit, a capacity keeps 300 digits below it.
 _MAX_CAPACITY_DIGITS = 4000
 
 
@@ -138,6 +140,8 @@ def parse_network(text: str) -> Network:
     node_set: set[str] = set()
     edges: list[Edge] = []
     commodities: list[Commodity] = []
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    most_digits = min(_MAX_CAPACITY_DIGITS, limit - 300) if limit else _MAX_CAPACITY_DIGITS
 
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
@@ -164,13 +168,12 @@ def parse_network(text: str) -> Network:
                 raise NetworkParseError(lineno, f"duplicate node name {name!r}")
             nodes.append(name)
             node_set.add(name)
-        elif directive == "edge":
+            continue
+        for endpoint in parts[1:3]:  # an edge's or a commodity's two ends
+            if endpoint not in node_set:
+                raise NetworkParseError(lineno, f"{directive} endpoint {endpoint!r} not declared")
+        if directive == "edge":
             tail, head, cap_token = parts[1], parts[2], parts[3]
-            for endpoint in (tail, head):
-                if endpoint not in node_set:
-                    raise NetworkParseError(
-                        lineno, f"edge endpoint {endpoint!r} not declared"
-                    )
             # int() would also take "+5", "1_0" and non-ASCII digits.
             digits = cap_token.removeprefix("-")
             if not (digits.isascii() and digits.isdigit()):
@@ -189,16 +192,13 @@ def parse_network(text: str) -> Network:
                 raise NetworkParseError(
                     lineno, f"capacity {cap_token!r} is not an integer"
                 ) from None
+            if len(digits) > most_digits:
+                raise NetworkParseError(lineno, f"capacity has more than {most_digits} digits")
             if tail == head:
                 raise NetworkParseError(lineno, f"self-loop on node {tail!r}")
             edges.append(Edge(len(edges), tail, head, capacity))
         else:
             source, sink = parts[1], parts[2]
-            for endpoint in (source, sink):
-                if endpoint not in node_set:
-                    raise NetworkParseError(
-                        lineno, f"commodity endpoint {endpoint!r} not declared"
-                    )
             if source == sink:
                 raise NetworkParseError(lineno, "commodity source equals sink")
             commodities.append(Commodity(len(commodities) + 1, source, sink))

@@ -531,6 +531,14 @@ class TestHugeCapacities:
         assert proc.stderr.startswith("error: line 3: capacity '999")
         assert proc.stderr.endswith("' is not an integer\n")
 
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+    def test_lowered_interpreter_digit_limit_keeps_totals_printable(self, tmp_path, argv):
+        # 640 digits pass int() under a 640-digit limit, but their sum would
+        # not pass str(): the parser leaves 300 digits of headroom.
+        proc = self._run(tmp_path, "9" * 640, argv, PYTHONINTMAXSTRDIGITS="640")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: line 3: capacity has more than 340 digits\n"
+
 
 class TestExport:
     def test_plain_dot(self, capsys):

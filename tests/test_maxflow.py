@@ -48,11 +48,11 @@ def assert_matches_reference(net):
 
 def assert_cancels_like_reference(net, edge_flow):
     """_cancel_flow_cycles leaves the same flows as the reference."""
-    ours, theirs = list(edge_flow), list(edge_flow)
+    ours, theirs = dict(enumerate(edge_flow)), list(edge_flow)
     _cancel_flow_cycles(net, ours)
     reference_cancel_flow_cycles(net, theirs)
-    assert ours == theirs
-    return ours
+    assert list(ours.values()) == theirs
+    return theirs
 
 
 def augmenting_path_lengths(net, s, t):
@@ -571,6 +571,119 @@ class TestStressFixtures:
         net = regular_network(random.Random(600), 600, 4, 3)
         assert len(net.edges) == 2400
         assert_matches_reference(net)
+
+
+class TestSmallerSideCut:
+    """Max flow reads its min cut from the smaller side: the forward arcs
+    leaving a source side of under half the nodes, or else the backward
+    arcs of the nodes outside it.  Both must give the reference's cut,
+    capacity-0 and parallel crossing edges included, in edge-id order."""
+
+    @staticmethod
+    def assert_cut_matches_reference(net, source_side_is_smaller):
+        com = net.commodities[0]
+        f = max_flow(net, com)
+        expected = reference_max_flow(net, com)
+        assert (2 * len(f.min_cut.source_side) < len(net.nodes)) == source_side_is_smaller
+        assert f.min_cut.cut_edges == expected.min_cut.cut_edges
+        assert f.min_cut.source_side == expected.min_cut.source_side
+        assert f == expected
+        return f.min_cut
+
+    def test_source_side_under_half(self):
+        net = _network(
+            "s a t b c d e",
+            [
+                "a t 2", "b t 4", "s a 9", "a b 0", "t c 1",
+                "c d 1", "a t 3", "d e 1", "e a 5", "b s 2",
+            ],
+        )
+        cut = self.assert_cut_matches_reference(net, True)
+        assert cut.source_side == frozenset({"s", "a"})
+        assert [e.id for e in cut.cut_edges] == [0, 3, 6]
+        assert cut.capacity == 5
+
+    def test_source_side_over_half(self):
+        net = _network(
+            "s a b c d t e",
+            [
+                "b t 0", "s a 9", "a b 9", "b c 9", "c d 9", "t b 4",
+                "d e 1", "e t 9", "c t 2", "c t 2", "s d 9", "e c 3",
+            ],
+        )
+        cut = self.assert_cut_matches_reference(net, False)
+        assert cut.source_side == frozenset({"s", "a", "b", "c", "d"})
+        assert [e.id for e in cut.cut_edges] == [0, 6, 8, 9]
+        assert cut.capacity == 5
+
+
+class _Reads:
+    """Counts the items read from a list or dict, by index or by iteration."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.reads += 1
+            yield item
+
+
+class _CountingList(_Reads, list):
+    pass
+
+
+class _CountingDict(_Reads, dict):
+    pass
+
+
+class TestSupportBound:
+    """After its last search, max flow reads only the edges its
+    augmentations pushed on: cancelling flow cycles and peeling paths cost
+    O(support), however much of the network the flow never touches."""
+
+    def test_unreached_component_is_not_read(self, monkeypatch):
+        # The first path s-u-v-t leaves only s-x-v-u-y-t, which takes the
+        # forward edge v->u before the backward arc of u->v: a flow cycle.
+        gadget = ["s u 1", "u v 1", "v t 1", "s x 1", "x v 1", "v u 1", "u y 1", "y t 1"]
+        size = 600
+        names = " ".join(f"z{i}" for i in range(size))
+        ring = [f"z{i} z{(i + 1) % size} 3" for i in range(size)]
+        ring += [f"z{i} z{(i + 7) % size} 2" for i in range(size)]
+        ring += [f"z{i} s 1" for i in range(0, size, 50)]  # into s, never out of it
+        net = _network(f"s t u v x y {names}", ring + gadget)
+        first = len(ring)  # the gadget's first edge id
+        expected = reference_max_flow(net, net.commodity(1))
+        assert reference_find_flow_cycle(net, list(expected.edge_flow)) is not None
+
+        arcs = net.arcs
+        tail, out = _CountingList(arcs.tail), _CountingList(arcs.out)
+        net.__dict__["arcs"] = arcs._replace(tail=tail, out=out)
+        decompose = maxflow.decompose_cut_paths
+        counted = {}
+
+        def counting(net, com, flows, depth, value):
+            flows, depth = _CountingDict(flows), _CountingList(depth)
+            before = tail.reads + out.reads
+            paths = decompose(net, com, flows, depth, value)
+            counted["support"] = len(flows)
+            counted["reads"] = flows.reads + depth.reads + tail.reads + out.reads - before
+            return paths
+
+        monkeypatch.setattr(maxflow, "decompose_cut_paths", counting)
+        f = max_flow(net, net.commodity(1))
+        assert f == expected
+        assert [p.edges for p in f.paths] == [
+            tuple(first + e for e in (0, 6, 7)),
+            tuple(first + e for e in (3, 4, 2)),
+        ]
+        assert counted["support"] == len(gadget)
+        assert counted["reads"] <= 16 * len(gadget) < len(net.edges) / 8
 
 
 class TestPerNetworkCaches:

@@ -1,6 +1,7 @@
 """Parsing, validation, rendering round-trips, and DOT export."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -111,6 +112,31 @@ class TestParse:
         with pytest.raises(NetworkParseError) as excinfo:
             parse_network(head + "1" + "0" * 4000 + "\ncommodity s t\n")
         assert str(excinfo.value) == "line 3: capacity has more than 4000 digits"
+
+    @pytest.mark.parametrize("limit", [640, 1000])
+    def test_lowered_int_limit_keeps_300_digits_of_headroom(self, limit):
+        # A total of capacities must still print under the lowered limit.
+        head = "node s\nnode t\nedge s t "
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            assert parse_network(head + "9" * (limit - 300) + "\ncommodity s t\n")
+            with pytest.raises(NetworkParseError) as excinfo:
+                parse_network(head + "9" * (limit - 299) + "\ncommodity s t\n")
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert str(excinfo.value) == f"line 3: capacity has more than {limit - 300} digits"
+
+    @pytest.mark.parametrize("unlimited", ["limit 0", "no limit function"])
+    def test_no_int_limit_keeps_4000_digits(self, monkeypatch, unlimited):
+        head = "node s\nnode t\nedge s t "
+        if unlimited == "limit 0":
+            monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        else:
+            monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert parse_network(head + "9" * 4000 + "\ncommodity s t\n")
+        with pytest.raises(NetworkParseError, match="more than 4000 digits"):
+            parse_network(head + "9" * 4001 + "\ncommodity s t\n")
 
     def test_node_after_use_is_fine_if_declared_before(self):
         # Declaration must precede use; later extra nodes are no problem.
