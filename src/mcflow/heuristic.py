@@ -51,10 +51,13 @@ def greedy_solve(tables: FlowTables) -> Assignment:
     Reads the tables and changes nothing in them: residuals, statuses and
     live color counts are its own.  Shipping a path moves its smallest
     residual along every one of its edges, so the result is feasible by
-    construction.  Each active path sharing a shipped edge that is left
-    with a zero-residual edge is then discarded and its color stripped
-    from its edges; the active paths sharing an edge with a discarded one
-    are recounted.  A shipped path keeps its color.
+    construction.  A shipped path keeps its color; a discarded one takes
+    its color off all its edges at once.  Two rules keep each step local:
+
+    1. Before a shipment no active path has a zero-residual edge, so the
+       paths it discards are exactly the active ones on an edge it emptied.
+    2. An active path sharing one or more edges with a discarded path
+       loses exactly that path's color, so its count falls by one.
 
     The next path comes off a heap keyed by (color count, position);
     positions run in (commodity, ordinal) order, which breaks the ties.  A
@@ -67,7 +70,6 @@ def greedy_solve(tables: FlowTables) -> Assignment:
     edge_paths = tables.edge_paths
     residual = list(tables.network.arcs.capacity)
     active = [True] * len(paths)
-    colors = {eid: set(positions) for eid, positions in enumerate(edge_paths) if positions}
     counts = list(tables.path_color_count)
     shipments: list[tuple[ColoredPath, int]] = []
     discarded: list[ColoredPath] = []
@@ -89,24 +91,19 @@ def greedy_solve(tables: FlowTables) -> Assignment:
             residual[eid] -= amount
             key = (choice.commodity, eid)
             edge_flow[key] = edge_flow.get(key, 0) + amount
-        # Active paths have no zero-residual edge before this shipment, and
-        # only the shipped edges changed, so only paths sharing them can drop.
-        dropped = [
-            p
-            for p in sorted({p for eid in choice.edges for p in edge_paths[eid]})
-            if active[p] and any(residual[eid] == 0 for eid in paths[p].edges)
-        ]
+        emptied = [eid for eid in choice.edges if not residual[eid]]
+        dropped = sorted({p for eid in emptied for p in edge_paths[eid] if active[p]})
         for p in dropped:
             active[p] = False
             discarded.append(paths[p])
-            for eid in paths[p].edges:
-                colors[eid].discard(p)
-        for p in {q for d in dropped for eid in paths[d].edges for q in edge_paths[eid]}:
-            if active[p]:
-                count = len(set().union(*(colors[eid] for eid in paths[p].edges)))
-                if count != counts[p]:
-                    counts[p] = count
-                    heapq.heappush(heap, (count, p))
+        changed = set()
+        for d in dropped:
+            for q in {q for eid in paths[d].edges for q in edge_paths[eid]}:
+                if active[q]:
+                    counts[q] -= 1
+                    changed.add(q)
+        for q in changed:
+            heapq.heappush(heap, (counts[q], q))
     total = sum(amount for _, amount in shipments)
     return Assignment(shipments, discarded, edge_flow, per_commodity, total)
 

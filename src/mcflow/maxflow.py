@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColoredPath:
     """A source-sink path, the `ordinal`-th of its commodity.
 
@@ -52,7 +52,7 @@ class ColoredPath:
         return f"P{self.commodity}.{self.ordinal}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cut:
     """Source-side node set with the edges (and capacity) leaving it."""
 
@@ -61,7 +61,7 @@ class Cut:
     capacity: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowState:
     """A max flow for one commodity, its canonical min cut, and the paths
     it decomposes into, numbered from 1 in the order they were peeled."""

@@ -43,7 +43,7 @@ class NetworkParseError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """Directed edge with a nonnegative integer capacity."""
 
@@ -53,7 +53,7 @@ class Edge:
     capacity: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Commodity:
     """A (source, sink) demand pair; `index` is 1-based."""
 

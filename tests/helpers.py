@@ -402,6 +402,31 @@ def full_scan_greedy(net: Network, paths: Sequence[ColoredPath]):
     return shipments, discarded, edge_flow
 
 
+class _Reads:
+    """Counts the items read from a list or dict, by index or by iteration."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.reads += 1
+            yield item
+
+
+class CountingList(_Reads, list):
+    pass
+
+
+class CountingDict(_Reads, dict):
+    pass
+
+
 def multicommodity_networks(rng, count, min_commodities=1):
     """`count` seeded networks with up to 12 commodities, alternating
     regular_network and random_network instances."""

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    CountingList,
     checked_term_sum,
     corrupt_assignment,
     direct_inclusion_exclusion,
@@ -17,11 +18,13 @@ from helpers import (
     networks,
     random_network,
     reference_validate_assignment,
+    regular_network,
 )
 from mcflow import (
     Assignment,
     Cut,
     Edge,
+    Network,
     build_tables,
     greedy_solve,
     intersection_terms,
@@ -150,6 +153,37 @@ class TestGreedyMatchesFullScan:
         assert shipments == [(0, 5), (2, 10), (3, 10)]
         assert discarded == [1]
         self.assert_matches(net)
+
+    @pytest.mark.parametrize(
+        "seed, nodes, commodities", [(0, 300, 18), (1, 300, 18), (0, 600, 16)]
+    )
+    def test_benchmark_scale(self, seed, nodes, commodities):
+        # At this size shipments often discard several paths at once, and
+        # an active path can lose the colors of two of them in one step.
+        net = regular_network(random.Random(seed), nodes, 4, commodities)
+        assert self.assert_matches(net) > 100
+
+
+class TestGreedyReadBound:
+    """greedy_solve reads the per-edge path lists only on the edges of the
+    paths it ships or discards, however many edges no path uses."""
+
+    def test_unused_edges_are_not_read(self):
+        core = regular_network(random.Random(5), 20, 3, 8)
+        size = 3000
+        names = tuple(f"z{i}" for i in range(size))
+        ring = tuple(
+            Edge(len(core.edges) + i, names[i], names[(i + 1) % size], 3) for i in range(size)
+        )
+        net = Network(core.nodes + names, core.edges + ring, core.commodities)
+        tables = build_tables(net)
+        counting = CountingList(tables.edge_paths)
+        got = greedy_solve(dataclasses.replace(tables, edge_paths=counting))
+        assert got == greedy_solve(tables)
+        assert got.discarded
+        touched = sum(len(p.edges) for p, _ in got.shipments)
+        touched += sum(len(p.edges) for p in got.discarded)
+        assert counting.reads <= touched < len(net.edges) / 8
 
 
 class TestValidateAssignment:

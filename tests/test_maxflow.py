@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import (
+    CountingDict,
+    CountingList,
     add_circulations,
     brute_force_min_cut,
     flow_is_feasible,
@@ -617,31 +619,6 @@ class TestSmallerSideCut:
         assert cut.capacity == 5
 
 
-class _Reads:
-    """Counts the items read from a list or dict, by index or by iteration."""
-
-    def __init__(self, items):
-        super().__init__(items)
-        self.reads = 0
-
-    def __getitem__(self, key):
-        self.reads += 1
-        return super().__getitem__(key)
-
-    def __iter__(self):
-        for item in super().__iter__():
-            self.reads += 1
-            yield item
-
-
-class _CountingList(_Reads, list):
-    pass
-
-
-class _CountingDict(_Reads, dict):
-    pass
-
-
 class TestSupportBound:
     """After its last search, max flow reads only the edges its
     augmentations pushed on: cancelling flow cycles and peeling paths cost
@@ -662,13 +639,13 @@ class TestSupportBound:
         assert reference_find_flow_cycle(net, list(expected.edge_flow)) is not None
 
         arcs = net.arcs
-        tail, out = _CountingList(arcs.tail), _CountingList(arcs.out)
+        tail, out = CountingList(arcs.tail), CountingList(arcs.out)
         net.__dict__["arcs"] = arcs._replace(tail=tail, out=out)
         decompose = maxflow.decompose_cut_paths
         counted = {}
 
         def counting(net, com, flows, depth, value):
-            flows, depth = _CountingDict(flows), _CountingList(depth)
+            flows, depth = CountingDict(flows), CountingList(depth)
             before = tail.reads + out.reads
             paths = decompose(net, com, flows, depth, value)
             counted["support"] = len(flows)
