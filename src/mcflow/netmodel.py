@@ -16,8 +16,10 @@ self-loops are not, and zero-capacity edges are allowed.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import count, repeat
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -102,19 +104,22 @@ class Network:
         and path enumeration.  Built on first use and shared by every
         caller, so treat it as read-only."""
         index = {name: number for number, name in enumerate(self.nodes)}
+        tails = [index[edge.tail] for edge in self.edges]
+        heads = [index[edge.head] for edge in self.edges]
         out: list[list[tuple[int, int]]] = [[] for _ in self.nodes]
-        back: list[list[tuple[int, int]]] = [[] for _ in self.nodes]
-        tail: list[int] = []
-        for edge in self.edges:
-            u, w = index[edge.tail], index[edge.head]
-            out[u].append((2 * edge.id, w))
-            back[w].append((2 * edge.id + 1, u))
-            tail += (u, w)
+        # Edge ids are dense, so edge e's forward arc is 2*e.  All forward
+        # arcs go in before any backward arc.
+        for u, forward in zip(tails, zip(count(0, 2), heads)):
+            out[u].append(forward)
+        for w, backward in zip(heads, zip(count(1, 2), tails)):
+            out[w].append(backward)
+        tail = tails + heads
+        tail[0::2], tail[1::2] = tails, heads
         return _Arcs(
             index,
-            tuple(tuple(fwd + bwd) for fwd, bwd in zip(out, back)),
+            tuple(map(tuple, out)),
             tuple(tail),
-            tuple(edge.capacity for edge in self.edges),
+            tuple([edge.capacity for edge in self.edges]),
         )
 
     def commodity(self, index: int) -> Commodity:
@@ -128,96 +133,108 @@ _DIRECTIVE_ARITY = {"node": 2, "edge": 4, "commodity": 3}
 # still print under the interpreter's default limit of 4300 digits; under a
 # lowered limit, a capacity keeps 300 digits below it.
 _MAX_CAPACITY_DIGITS = 4000
+# Edge's slot descriptors, in field order.  Writing through them skips the
+# object.__setattr__ call per field of a frozen dataclass's __init__.
+_EDGE_SLOTS = tuple(Edge.__dict__[field.name].__set__ for field in fields(Edge))
 
 
 def parse_network(text: str) -> Network:
     """Parse network text; raises NetworkParseError with a line number.
 
-    The line checks reject everything Network's own check would, so
-    accepted text never raises anything else.
+    A sound line passes a few cheap tests, and any other goes to
+    `_line_error` to be worded.  Those tests reject everything Network's
+    own check would, so accepted text never raises anything else.
     """
-    nodes: list[str] = []
-    node_set: set[str] = set()
-    edges: list[Edge] = []
+    declared: dict[str, None] = {}  # the node names, in declaration order
+    tails: list[str] = []
+    heads: list[str] = []
+    capacities: list[int] = []
     commodities: list[Commodity] = []
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     most_digits = min(_MAX_CAPACITY_DIGITS, limit - 300) if limit else _MAX_CAPACITY_DIGITS
 
     lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in enumerate(lines, start=1):
         parts = line.split()
-        directive = parts[0]
-        arity = _DIRECTIVE_ARITY.get(directive)
-        if arity is None:
-            raise NetworkParseError(lineno, f"unknown directive {directive!r}")
-        if len(parts) != arity:
-            raise NetworkParseError(
-                lineno,
-                f"{directive!r} expects {arity - 1} arguments, got {len(parts) - 1}",
-            )
-        if directive == "node":
-            name = parts[1]
-            if not name.isprintable():
-                raise NetworkParseError(
-                    lineno, f"node name {name!r} contains unprintable characters"
-                )
-            if name in node_set:
-                raise NetworkParseError(lineno, f"duplicate node name {name!r}")
-            nodes.append(name)
-            node_set.add(name)
+        if len(parts) == 4 and parts[0] == "edge":
+            _, tail, head, capacity = parts
+            if tail in declared and head in declared and tail != head:
+                # isascii: int() would also take non-ASCII digits.
+                if capacity.isdigit() and capacity.isascii() and len(capacity) <= most_digits:
+                    tails.append(tail)
+                    heads.append(head)
+                    capacities.append(int(capacity))
+                    continue
+        elif len(parts) == 2 and parts[0] == "node":
+            if parts[1].isprintable() and parts[1] not in declared:
+                declared[parts[1]] = None
+                continue
+        elif len(parts) == 3 and parts[0] == "commodity":
+            _, source, sink = parts
+            if source in declared and sink in declared and source != sink:
+                commodities.append(Commodity(len(commodities) + 1, source, sink))
+                continue
+        elif not parts or parts[0].startswith("#"):  # blank or comment
             continue
-        for endpoint in parts[1:3]:  # an edge's or a commodity's two ends
-            if endpoint not in node_set:
-                raise NetworkParseError(lineno, f"{directive} endpoint {endpoint!r} not declared")
-        if directive == "edge":
-            tail, head, cap_token = parts[1], parts[2], parts[3]
-            # int() would also take "+5", "1_0" and non-ASCII digits.
-            digits = cap_token.removeprefix("-")
-            if not (digits.isascii() and digits.isdigit()):
-                raise NetworkParseError(
-                    lineno, f"capacity {cap_token!r} is not an integer"
-                )
-            if cap_token.startswith("-"):
-                raise NetworkParseError(lineno, f"negative capacity {cap_token}")
-            if len(digits) > _MAX_CAPACITY_DIGITS:
-                raise NetworkParseError(
-                    lineno, f"capacity has more than {_MAX_CAPACITY_DIGITS} digits"
-                )
-            try:
-                capacity = int(cap_token)
-            except ValueError:  # past a lowered PYTHONINTMAXSTRDIGITS
-                raise NetworkParseError(
-                    lineno, f"capacity {cap_token!r} is not an integer"
-                ) from None
-            if len(digits) > most_digits:
-                raise NetworkParseError(lineno, f"capacity has more than {most_digits} digits")
-            if tail == head:
-                raise NetworkParseError(lineno, f"self-loop on node {tail!r}")
-            edges.append(Edge(len(edges), tail, head, capacity))
-        else:
-            source, sink = parts[1], parts[2]
-            if source == sink:
-                raise NetworkParseError(lineno, "commodity source equals sink")
-            commodities.append(Commodity(len(commodities) + 1, source, sink))
+        raise _line_error(lineno, parts, declared, most_digits)
 
     end = max(len(lines), 1)
-    if not edges:
+    if not tails:
         raise NetworkParseError(end, "no edges declared")
     if not commodities:
         raise NetworkParseError(end, "no commodities declared")
-    return Network(tuple(nodes), tuple(edges), tuple(commodities))
+    edges = list(map(object.__new__, repeat(Edge, len(tails))))
+    columns = (range(len(tails)), tails, heads, capacities)
+    for write, column in zip(_EDGE_SLOTS, columns):  # one field at a time, over all edges
+        deque(map(write, edges, column), maxlen=0)
+    return Network(tuple(declared), tuple(edges), tuple(commodities))
+
+
+def _line_error(line: int, parts: list[str], declared: dict, most_digits: int) -> NetworkParseError:
+    """The first fault of a line that failed parse_network's tests, in the
+    order directive, arity, node name, endpoints, capacity and self-loop."""
+    directive = parts[0]
+    arity = _DIRECTIVE_ARITY.get(directive)
+    if arity is None:
+        return NetworkParseError(line, f"unknown directive {directive!r}")
+    if len(parts) != arity:
+        return NetworkParseError(
+            line, f"{directive!r} expects {arity - 1} arguments, got {len(parts) - 1}"
+        )
+    if directive == "node" and not parts[1].isprintable():
+        return NetworkParseError(line, f"node name {parts[1]!r} contains unprintable characters")
+    if directive == "node":
+        return NetworkParseError(line, f"duplicate node name {parts[1]!r}")
+    for endpoint in parts[1:3]:  # an edge's or a commodity's two ends
+        if endpoint not in declared:
+            return NetworkParseError(line, f"{directive} endpoint {endpoint!r} not declared")
+    if directive == "commodity":
+        return NetworkParseError(line, "commodity source equals sink")
+    tail, capacity = parts[1], parts[3]
+    # int() would also take "+5", "1_0" and non-ASCII digits.
+    digits = capacity.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        return NetworkParseError(line, f"capacity {capacity!r} is not an integer")
+    if capacity.startswith("-"):
+        return NetworkParseError(line, f"negative capacity {capacity}")
+    if len(digits) > _MAX_CAPACITY_DIGITS:
+        return NetworkParseError(line, f"capacity has more than {_MAX_CAPACITY_DIGITS} digits")
+    try:
+        int(capacity)
+    except ValueError:  # past a lowered PYTHONINTMAXSTRDIGITS
+        return NetworkParseError(line, f"capacity {capacity!r} is not an integer")
+    if len(digits) > most_digits:
+        return NetworkParseError(line, f"capacity has more than {most_digits} digits")
+    return NetworkParseError(line, f"self-loop on node {tail!r}")
 
 
 def _violations(net: Network) -> list[str]:
     violations: list[str] = []
     seen: set[str] = set()
-    for name in net.nodes:
+    for name in net.nodes:  # isprintable() is false on all whitespace but " "
         if not name:
             violations.append("empty node name")
-        elif any(ch.isspace() for ch in name) or not name.isprintable():
+        elif " " in name or not name.isprintable():
             violations.append(f"node name {name!r} contains whitespace or unprintable characters")
         if name in seen:
             violations.append(f"duplicate node name {name!r}")
@@ -229,15 +246,9 @@ def _violations(net: Network) -> list[str]:
     # Sound edges and commodities pass the plain comparisons first; only a
     # failing one is looked at again to word its messages.
     for position, edge in enumerate(net.edges):
-        if (
-            edge.id == position
-            and edge.tail in seen
-            and edge.head in seen
-            and type(edge.capacity) is int
-            and edge.capacity >= 0
-            and edge.tail != edge.head
-        ):
-            continue
+        if edge.id == position and edge.tail in seen and edge.head in seen:
+            if edge.tail != edge.head and type(edge.capacity) is int and edge.capacity >= 0:
+                continue
         tag = f"edge {edge.id} ({edge.tail}->{edge.head})"
         if edge.id != position:
             violations.append(f"{tag}: id not dense at position {position}")
@@ -251,13 +262,9 @@ def _violations(net: Network) -> list[str]:
         if edge.tail == edge.head:
             violations.append(f"{tag}: self-loop")
     for position, com in enumerate(net.commodities):
-        if (
-            com.index == position + 1
-            and com.source in seen
-            and com.sink in seen
-            and com.source != com.sink
-        ):
-            continue
+        if com.index == position + 1 and com.source in seen and com.sink in seen:
+            if com.source != com.sink:
+                continue
         tag = f"commodity {com.index}"
         if com.index != position + 1:
             violations.append(f"{tag}: index not dense at position {position}")

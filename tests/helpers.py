@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import sys
 from collections import deque
 from typing import NamedTuple, Sequence
 
@@ -24,11 +25,19 @@ from mcflow import (
     Edge,
     FlowState,
     Network,
+    NetworkParseError,
     OracleLimitError,
     OracleResult,
     enumerate_paths,
 )
-from mcflow.netmodel import _check_references, _commodity_color, _dot_quote
+from mcflow.netmodel import (
+    _DIRECTIVE_ARITY,
+    _MAX_CAPACITY_DIGITS,
+    _Arcs,
+    _check_references,
+    _commodity_color,
+    _dot_quote,
+)
 
 
 def random_network(
@@ -56,6 +65,106 @@ def render_network(net: Network) -> str:
     lines += [f"edge {e.tail} {e.head} {e.capacity}" for e in net.edges]
     lines += [f"commodity {c.source} {c.sink}" for c in net.commodities]
     return "\n".join(lines) + "\n"
+
+
+def reference_parse_network(text: str) -> Network:
+    """Parse network text; raises NetworkParseError with a line number.
+
+    The straightforward parser, kept as a second route to parse_network's
+    results: every line runs every check in order and raises at the first
+    that fails."""
+    nodes: list[str] = []
+    node_set: set[str] = set()
+    edges: list[Edge] = []
+    commodities: list[Commodity] = []
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    most_digits = min(_MAX_CAPACITY_DIGITS, limit - 300) if limit else _MAX_CAPACITY_DIGITS
+
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        directive = parts[0]
+        arity = _DIRECTIVE_ARITY.get(directive)
+        if arity is None:
+            raise NetworkParseError(lineno, f"unknown directive {directive!r}")
+        if len(parts) != arity:
+            raise NetworkParseError(
+                lineno,
+                f"{directive!r} expects {arity - 1} arguments, got {len(parts) - 1}",
+            )
+        if directive == "node":
+            name = parts[1]
+            if not name.isprintable():
+                raise NetworkParseError(
+                    lineno, f"node name {name!r} contains unprintable characters"
+                )
+            if name in node_set:
+                raise NetworkParseError(lineno, f"duplicate node name {name!r}")
+            nodes.append(name)
+            node_set.add(name)
+            continue
+        for endpoint in parts[1:3]:  # an edge's or a commodity's two ends
+            if endpoint not in node_set:
+                raise NetworkParseError(lineno, f"{directive} endpoint {endpoint!r} not declared")
+        if directive == "edge":
+            tail, head, cap_token = parts[1], parts[2], parts[3]
+            # int() would also take "+5", "1_0" and non-ASCII digits.
+            digits = cap_token.removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
+                raise NetworkParseError(
+                    lineno, f"capacity {cap_token!r} is not an integer"
+                )
+            if cap_token.startswith("-"):
+                raise NetworkParseError(lineno, f"negative capacity {cap_token}")
+            if len(digits) > _MAX_CAPACITY_DIGITS:
+                raise NetworkParseError(
+                    lineno, f"capacity has more than {_MAX_CAPACITY_DIGITS} digits"
+                )
+            try:
+                capacity = int(cap_token)
+            except ValueError:  # past a lowered PYTHONINTMAXSTRDIGITS
+                raise NetworkParseError(
+                    lineno, f"capacity {cap_token!r} is not an integer"
+                ) from None
+            if len(digits) > most_digits:
+                raise NetworkParseError(lineno, f"capacity has more than {most_digits} digits")
+            if tail == head:
+                raise NetworkParseError(lineno, f"self-loop on node {tail!r}")
+            edges.append(Edge(len(edges), tail, head, capacity))
+        else:
+            source, sink = parts[1], parts[2]
+            if source == sink:
+                raise NetworkParseError(lineno, "commodity source equals sink")
+            commodities.append(Commodity(len(commodities) + 1, source, sink))
+
+    end = max(len(lines), 1)
+    if not edges:
+        raise NetworkParseError(end, "no edges declared")
+    if not commodities:
+        raise NetworkParseError(end, "no commodities declared")
+    return Network(tuple(nodes), tuple(edges), tuple(commodities))
+
+
+def reference_arcs(net: Network) -> _Arcs:
+    """Network.arcs built edge by edge from each Edge's attributes."""
+    index = {name: number for number, name in enumerate(net.nodes)}
+    out: list[list[tuple[int, int]]] = [[] for _ in net.nodes]
+    back: list[list[tuple[int, int]]] = [[] for _ in net.nodes]
+    tail: list[int] = []
+    for edge in net.edges:
+        u, w = index[edge.tail], index[edge.head]
+        out[u].append((2 * edge.id, w))
+        back[w].append((2 * edge.id + 1, u))
+        tail += (u, w)
+    return _Arcs(
+        index,
+        tuple(tuple(fwd + bwd) for fwd, bwd in zip(out, back)),
+        tuple(tail),
+        tuple(edge.capacity for edge in net.edges),
+    )
 
 
 def regular_network(rng, node_count, degree, commodity_count, max_cap=20):

@@ -1,5 +1,6 @@
 """Parsing, validation, rendering round-trips, and DOT export."""
 
+import dataclasses
 import random
 import sys
 
@@ -11,7 +12,11 @@ from helpers import (
     corrupt_assignment,
     multicommodity_networks,
     networks,
+    random_network,
+    reference_arcs,
     reference_export_dot,
+    reference_parse_network,
+    regular_network,
     render_network,
 )
 from mcflow import (
@@ -26,6 +31,7 @@ from mcflow import (
     parse_network,
     render_path,
 )
+from mcflow import netmodel
 
 # Legal and illegal node names and capacity tokens for near-valid text.
 _NAMES = ["a", "b", "c", "a\x00", "b\x7f", "\u200b"]
@@ -97,6 +103,13 @@ class TestParse:
             ("node s\nnode t\nedge s t \u0665\n", 3, "not an integer"),
             ("node s\nnode t\nedge s t +5\n", 3, "not an integer"),
             ("node s\nnode t\nedge s t -07\n", 3, "negative capacity"),
+            # A line with several faults reports the first in check order.
+            ("node s\nnode t\nedge q q x\n", 3, "endpoint 'q' not declared"),
+            ("node s\nnode t\nedge s s x\n", 3, "not an integer"),
+            ("node s\nnode t\nedge s s -1\n", 3, "negative capacity"),
+            ("node s\nnode t\nedge s s " + "9" * 4001 + "\n", 3, "more than 4000 digits"),
+            ("node s\nnode t\ncommodity q q\n", 3, "not declared"),
+            ("node a\x00 b\n", 1, "expects 1 arguments"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line, fragment):
@@ -169,6 +182,170 @@ class TestRoundTrip:
             parse_network(text)
         except NetworkParseError:
             pass
+
+
+def _outcome(parse, text):
+    """What a parser makes of text: the network, or the error's line and reason."""
+    try:
+        return parse(text)
+    except NetworkParseError as error:
+        return (error.line, error.reason)
+
+
+# Replacement tokens for the mutations below.
+_ODD_CAPACITIES = ["+5", "1_0", "-0", "-", "\u0665", "007", "1.5", "\u00b2", "-" + "9" * 4001]
+_ODD_CAPACITIES += ["9" * 4000, "9" * 4001, "0" * 4001]
+_ODD_NAMES = ["ghost", "a\x00", "b\x7f", "\u200b", "\u00e9", "#x", "x#"]
+_LINE_BREAKS = ["\n", "\r\n", "\r", "\x85", "\u2028", "\x0b", "\x1c"]
+
+
+def _mutate(rng, lines):
+    """Apply one random mutation to a list of network lines, in place."""
+    at = rng.randrange(len(lines))
+    kind = rng.randrange(12)
+    if kind == 0:  # tabs and runs of blanks between tokens
+        lines[at] = lines[at].replace(" ", rng.choice(["\t", " \t ", "   "]))
+    elif kind == 1:  # leading and trailing blanks
+        lines[at] = rng.choice([" ", "\t", "  "]) + lines[at] + rng.choice([" ", "\t", ""])
+    elif kind == 2:  # comment and blank lines
+        lines.insert(at, rng.choice(["# note", "  #edge a b 1", "", "   ", "#"]))
+    elif kind == 3:  # "#" at either end of a token
+        parts = lines[at].split(" ")
+        spot = rng.randrange(len(parts))
+        parts[spot] = rng.choice(["#", ""]) + parts[spot] + rng.choice(["", "#"])
+        lines[at] = " ".join(parts)
+    elif kind == 4:  # odd capacities
+        edges = [i for i, line in enumerate(lines) if line.startswith("edge ")]
+        if edges:
+            i = rng.choice(edges)
+            lines[i] = lines[i].rsplit(" ", 1)[0] + " " + rng.choice(_ODD_CAPACITIES)
+    elif kind == 5:  # a duplicate node declaration
+        nodes = [line for line in lines if line.startswith("node ")]
+        if nodes:
+            lines.insert(at, rng.choice(nodes))
+    elif kind == 6:  # an undeclared, unprintable or otherwise odd name
+        parts = lines[at].split(" ")
+        parts[rng.randrange(1, len(parts)) if len(parts) > 1 else 0] = rng.choice(_ODD_NAMES)
+        lines[at] = " ".join(parts)
+    elif kind == 7:  # wrong arity
+        parts = lines[at].split(" ")
+        if rng.random() < 0.5:
+            del parts[rng.randrange(len(parts))]
+        else:
+            parts.insert(rng.randrange(len(parts) + 1), "7")
+        lines[at] = " ".join(parts)
+    elif kind == 8:  # a node used before its declaration
+        j = rng.randrange(len(lines))
+        lines[at], lines[j] = lines[j], lines[at]
+    elif kind == 9:  # self-loops and source equals sink
+        parts = lines[at].split(" ")
+        if len(parts) >= 3:
+            parts[2] = parts[1]
+        lines[at] = " ".join(parts)
+    elif kind == 10:  # unknown directives
+        lines[at] = rng.choice(["Edge", "link", "nodes", "\ufeffnode"]) + lines[at][4:]
+    else:  # no edges or no commodities left
+        directive = rng.choice(["edge ", "commodity "])
+        lines[:] = [line for line in lines if not line.startswith(directive)] or [""]
+
+
+def _mutated_texts(rng, count):
+    for _ in range(count):
+        if rng.random() < 0.2:
+            net = regular_network(rng, rng.randint(3, 8), 2, rng.randint(1, 3))
+        else:
+            net = random_network(rng, max_nodes=6, max_edges=8, commodity_range=(1, 3))
+        lines = render_network(net).splitlines()
+        for _ in range(rng.randint(0, 3)):
+            _mutate(rng, lines)
+        text = "".join(line + rng.choice(_LINE_BREAKS) for line in lines)
+        yield ("\ufeff" if rng.random() < 0.05 else "") + text
+
+
+class TestParseMatchesReference:
+    """parse_network gives what the line-by-line reference parser gives:
+    an equal Network for accepted text, the same line and reason otherwise."""
+
+    def test_mutated_texts(self):
+        rejected = 0
+        for text in _mutated_texts(random.Random(2121), 4000):
+            expected = _outcome(reference_parse_network, text)
+            assert _outcome(parse_network, text) == expected, repr(text)
+            rejected += isinstance(expected, tuple)
+        assert 1000 < rejected < 3000  # both kinds of outcome are well covered
+
+    @pytest.mark.parametrize("digits", [339, 340, 341, 639, 640, 641, 4000, 4001])
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_lowered_int_limit(self, digits, sign):
+        text = f"node s\nnode t\nedge s t {sign}{'7' * digits}\ncommodity s t\n"
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            expected = _outcome(reference_parse_network, text)
+            assert _outcome(parse_network, text) == expected
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    @given(odd_network_texts())
+    def test_odd_texts(self, text):
+        assert _outcome(parse_network, text) == _outcome(reference_parse_network, text)
+
+    def test_arcs_match_reference(self):
+        rng = random.Random(31)
+        nets = [regular_network(rng, 40, 3, 4) for _ in range(5)]
+        nets += [random_network(rng, 12, 40, commodity_range=(1, 3)) for _ in range(40)]
+        for net in nets:
+            assert parse_network(render_network(net)).arcs == reference_arcs(net)
+
+
+class TestParsedEdgeContract:
+    """A parsed Edge is the same frozen, slotted dataclass instance that
+    Edge(...) builds."""
+
+    def test_equal_to_constructed_edge(self, golden_net):
+        for edge in golden_net.edges:
+            built = Edge(edge.id, edge.tail, edge.head, edge.capacity)
+            assert edge == built and hash(edge) == hash(built) and repr(edge) == repr(built)
+            assert type(edge) is Edge and not isinstance(edge, tuple)
+            assert not hasattr(edge, "__dict__")
+
+    def test_frozen(self, golden_net):
+        edge = golden_net.edges[0]
+        for field in ("id", "tail", "head", "capacity"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(edge, field, 1)
+        assert edge == Edge(0, "s1", "t1", 5)
+
+    def test_fields_and_replace(self, golden_net):
+        edge = golden_net.edges[4]
+        assert [f.name for f in dataclasses.fields(edge)] == ["id", "tail", "head", "capacity"]
+        assert dataclasses.astuple(edge) == (4, "s2", "s1", 10)
+        assert dataclasses.replace(edge, capacity=3) == Edge(4, "s2", "s1", 3)
+        assert edge.capacity == 10
+
+
+class TestSoundTextIsNotWorded:
+    """A sound line passes the cheap tests only: text that parses never
+    reaches the helper that words errors."""
+
+    def test_regular_corpus(self, monkeypatch):
+        calls = []
+        line_error = netmodel._line_error
+
+        def counting(*args):
+            calls.append(args)
+            return line_error(*args)
+
+        monkeypatch.setattr(netmodel, "_line_error", counting)
+        rng = random.Random(77)
+        for _ in range(30):
+            net = regular_network(rng, rng.randint(3, 60), rng.randint(1, 4), rng.randint(1, 6))
+            text = "# seeded\n\n" + render_network(net).replace("\n", " \r\n\t", 3)
+            assert parse_network(text) == net
+        assert calls == []
+        with pytest.raises(NetworkParseError):
+            parse_network("node s\nnode t\nedge s t -1\ncommodity s t\n")
+        assert len(calls) == 1  # the patch is what parse_network calls
 
 
 def _problems(*args) -> list[str]:
