@@ -298,6 +298,12 @@ def _cmd_export(net: Network, args: argparse.Namespace, structured: bool) -> int
     return 0
 
 
+# The output style, for every subcommand but export (its DOT text has one form).
+_FORMAT = (
+    "--format",
+    dict(choices=("human", "structured"), default="human", help="output style (default: human)"),
+)
+
 # The oracle's limits, shared by oracle and gap.
 _LIMITS = [
     ("--max-paths", {"type": _budget, "default": DEFAULT_MAX_PATHS}),
@@ -306,17 +312,20 @@ _LIMITS = [
 
 # Each subcommand: its help text, its own options and its handler.
 _COMMANDS = {
-    "validate": ("check the network invariants", [], _cmd_validate),
+    "validate": ("check the network invariants", [_FORMAT], _cmd_validate),
     "maxflow": (
         "single-commodity max flow, min cut, and decomposition",
-        [("--commodity", {"type": int, "required": True, "help": "1-based commodity index"})],
+        [
+            _FORMAT,
+            ("--commodity", {"type": int, "required": True, "help": "1-based commodity index"}),
+        ],
         _cmd_maxflow,
     ),
-    "tables": ("build and print the five selection tables", [], _cmd_tables),
-    "solve": ("run the greedy multicommodity heuristic", [], _cmd_solve),
-    "bound": ("cut-intersection upper bound report", [], _cmd_bound),
-    "oracle": ("exact optimum by exhaustive path-flow search", _LIMITS, _cmd_oracle),
-    "gap": ("greedy heuristic vs exact oracle comparison", _LIMITS, _cmd_gap),
+    "tables": ("build and print the five selection tables", [_FORMAT], _cmd_tables),
+    "solve": ("run the greedy multicommodity heuristic", [_FORMAT], _cmd_solve),
+    "bound": ("cut-intersection upper bound report", [_FORMAT], _cmd_bound),
+    "oracle": ("exact optimum by exhaustive path-flow search", [_FORMAT, *_LIMITS], _cmd_oracle),
+    "gap": ("greedy heuristic vs exact oracle comparison", [_FORMAT, *_LIMITS], _cmd_gap),
     "export": (
         "Graphviz DOT export",
         [
@@ -341,12 +350,6 @@ def _parser() -> argparse.ArgumentParser:
     for name, (help_text, options, handler) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="network file, or - for standard input")
-        p.add_argument(
-            "--format",
-            choices=("human", "structured"),
-            default="human",
-            help="output style (default: human)",
-        )
         for flag, keywords in options:
             p.add_argument(flag, **keywords)
         p.set_defaults(handler=handler)
@@ -361,7 +364,7 @@ def run(argv: list[str]) -> int:
     except (OSError, UnicodeDecodeError, NetworkParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return args.handler(net, args, args.format == "structured")
+    return args.handler(net, args, getattr(args, "format", None) == "structured")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -119,18 +119,9 @@ def reference_parse_network(text: str) -> Network:
                 )
             if cap_token.startswith("-"):
                 raise NetworkParseError(lineno, f"negative capacity {cap_token}")
-            if len(digits) > _MAX_CAPACITY_DIGITS:
-                raise NetworkParseError(
-                    lineno, f"capacity has more than {_MAX_CAPACITY_DIGITS} digits"
-                )
-            try:
-                capacity = int(cap_token)
-            except ValueError:  # past a lowered PYTHONINTMAXSTRDIGITS
-                raise NetworkParseError(
-                    lineno, f"capacity {cap_token!r} is not an integer"
-                ) from None
             if len(digits) > most_digits:
                 raise NetworkParseError(lineno, f"capacity has more than {most_digits} digits")
+            capacity = int(cap_token)  # most_digits is below any int() limit
             if tail == head:
                 raise NetworkParseError(lineno, f"self-loop on node {tail!r}")
             edges.append(Edge(len(edges), tail, head, capacity))

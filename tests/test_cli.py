@@ -528,8 +528,7 @@ class TestHugeCapacities:
     def test_lowered_interpreter_digit_limit_is_a_parse_error(self, tmp_path):
         proc = self._run(tmp_path, "9" * 1000, ["solve"], PYTHONINTMAXSTRDIGITS="640")
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr.startswith("error: line 3: capacity '999")
-        assert proc.stderr.endswith("' is not an integer\n")
+        assert proc.stderr == "error: line 3: capacity has more than 340 digits\n"
 
     @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
     def test_lowered_interpreter_digit_limit_keeps_totals_printable(self, tmp_path, argv):

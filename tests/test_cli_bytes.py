@@ -8,9 +8,11 @@ seeded corpus from the helpers' generators; the recorded digests live in
 data/cli_bytes.sha256.  A refactor that keeps every output the same keeps
 this test passing unchanged.  After a deliberate output change, rerun
 
-    PYTHONPATH=src python tests/test_cli_bytes.py
+    PYTHONPATH=src python tests/test_cli_bytes.py [SUBCOMMAND ...]
 
-to rewrite the digest file, and say in the change which cases moved.
+to rewrite the digests of the named subcommands (of all, when none is
+named; every other line keeps its bytes), and say in the change which
+cases moved.
 """
 
 from __future__ import annotations
@@ -20,7 +22,11 @@ import contextlib
 import hashlib
 import io
 import random
+import sys
+import tempfile
 from pathlib import Path
+
+import pytest
 
 from helpers import random_network, regular_network, render_network
 from mcflow import parse_network
@@ -32,6 +38,8 @@ MAX_CANDIDATES = "777"
 # Inputs this small also go through the exhaustive oracle.
 SMALL_EDGES = 16
 SMALL_COMMODITIES = 3
+STYLES = (["--format", "human"], ["--format", "structured"])
+COMMANDS = {"validate", "tables", "solve", "bound", "maxflow", "oracle", "gap", "export"}
 
 
 def _inputs() -> list[tuple[str, str]]:
@@ -50,7 +58,8 @@ def _inputs() -> list[tuple[str, str]]:
 
 
 def _commands(text: str) -> list[list[str]]:
-    """Every argv, minus the input path, that the contract runs on `text`."""
+    """Every argv, minus the input path, that the contract runs on `text`:
+    each in both output styles, except export, which has only one."""
     commands = [["validate"], ["tables"], ["solve"], ["export"], ["export", "--assignment"]]
     try:
         net = parse_network(text)
@@ -69,7 +78,11 @@ def _commands(text: str) -> list[list[str]]:
             ["oracle", "--max-paths", "1"],
             ["gap", "--max-paths", "1"],
         ]
-    return [argv + [style] for argv in commands for style in ("human", "structured")]
+    return [
+        argv + style
+        for argv in commands
+        for style in (([],) if argv[0] == "export" else STYLES)
+    ]
 
 
 def _digest(argv: list[str]) -> str:
@@ -81,17 +94,21 @@ def _digest(argv: list[str]) -> str:
     return base64.urlsafe_b64encode(digest).decode("ascii").rstrip("=")
 
 
-def compute(workdir: Path) -> dict[str, str]:
-    """Case name -> digest, running every case in-process on files under
-    `workdir` (outputs never name the input path)."""
+def compute(workdir: Path, keep: dict[str, str] | None = None) -> dict[str, str]:
+    """Case name -> digest, in contract order, running every case in-process
+    on files under `workdir` (outputs never name the input path).  A case
+    named in `keep` takes its digest from there instead of being run."""
+    keep = keep or {}
     digests: dict[str, str] = {}
     for name, text in _inputs():
         path = workdir / f"{name}.net"
         path.write_text(text, encoding="utf-8")
-        for *argv, style in _commands(text):
-            command, *options = argv
-            run_argv = [command, str(path), *options, "--format", style]
-            digests[" ".join([name, *argv, style])] = _digest(run_argv)
+        for command, *options in _commands(text):
+            case = " ".join([name, command, *(o for o in options if o != "--format")])
+            if case in keep:
+                digests[case] = keep[case]
+            else:
+                digests[case] = _digest([command, str(path), *options])
     return digests
 
 
@@ -115,14 +132,38 @@ def test_every_case_prints_its_recorded_bytes(tmp_path):
 
 
 def test_contract_covers_every_command():
-    commands = {case.split(" ")[1] for case in recorded()}
-    assert commands == {"validate", "tables", "solve", "bound", "maxflow", "oracle", "gap", "export"}
+    assert {case.split(" ")[1] for case in recorded()} == COMMANDS
+
+
+def test_export_takes_no_format(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["export", str(HERE / "data" / "two_commodity.net"), "--format", "structured"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --format structured" in captured.err
+
+
+def _record(named: list[str]) -> None:
+    """Rewrite the digests of the named subcommands, or of all when none is
+    named; every other line of the digest file keeps its bytes."""
+    unknown = sorted(set(named) - COMMANDS)
+    if unknown:
+        raise SystemExit(f"unknown subcommands {unknown}; known: {sorted(COMMANDS)}")
+    rerun = set(named) or COMMANDS
+    keep = {case: d for case, d in recorded().items() if case.split(" ")[1] not in rerun}
+    with tempfile.TemporaryDirectory() as scratch:
+        cases = compute(Path(scratch), keep)
+    unrecorded = [c for c in cases if c.split(" ")[1] not in rerun and c not in keep]
+    dropped = sorted(set(keep) - set(cases))
+    if unrecorded or dropped:
+        raise SystemExit(
+            f"cases of subcommands not named changed: {len(unrecorded)} new"
+            f" {unrecorded[:5]}, {len(dropped)} gone {dropped[:5]}; name them too"
+        )
+    DIGESTS.write_text("".join(f"{case} {digest}\n" for case, digest in cases.items()))
+    print(f"recorded {len(cases) - len(keep)} of {len(cases)} cases in {DIGESTS}")
 
 
 if __name__ == "__main__":
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as scratch:
-        cases = compute(Path(scratch))
-    DIGESTS.write_text("".join(f"{case} {digest}\n" for case, digest in cases.items()))
-    print(f"recorded {len(cases)} cases in {DIGESTS}")
+    _record(sys.argv[1:])

@@ -37,6 +37,16 @@ from mcflow import netmodel
 _NAMES = ["a", "b", "c", "a\x00", "b\x7f", "\u200b"]
 _CAPACITIES = ["0", "7", "12", "-1", "+5", "1_0", "\u0665", "\u0663\u0662"]
 
+# Each interpreter str(int) digit limit (0: none) with the most digits a
+# capacity may have under it, and the digit counts on either side of that
+# count, of the limit and of the fixed 4000.
+_DIGIT_LIMITS = [(0, 4000), (640, 340), (1000, 700), (sys.int_info.default_max_str_digits, 4000)]
+_LENGTH_CASES = [
+    (limit, most, digits)
+    for limit, most in _DIGIT_LIMITS
+    for digits in sorted({most, most + 1, 4000, 4001} | ({limit, limit + 1} if limit else set()))
+]
+
 
 @st.composite
 def odd_network_texts(draw):
@@ -150,6 +160,25 @@ class TestParse:
         assert parse_network(head + "9" * 4000 + "\ncommodity s t\n")
         with pytest.raises(NetworkParseError, match="more than 4000 digits"):
             parse_network(head + "9" * 4001 + "\ncommodity s t\n")
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    @pytest.mark.parametrize("limit, most, digits", _LENGTH_CASES)
+    def test_capacity_length_messages(self, limit, most, digits, sign):
+        # One length test decides a capacity's fate, whatever int() could take.
+        capacity = sign + "9" * digits
+        text = f"node s\nnode t\nedge s t {capacity}\ncommodity s t\n"
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            outcome = _outcome(parse_network, text)
+        finally:
+            sys.set_int_max_str_digits(saved)
+        if sign:
+            assert outcome == (3, f"negative capacity {capacity}")
+        elif digits > most:
+            assert outcome == (3, f"capacity has more than {most} digits")
+        else:
+            assert outcome.edges[0].capacity == 10**digits - 1
 
     def test_node_after_use_is_fine_if_declared_before(self):
         # Declaration must precede use; later extra nodes are no problem.
