@@ -2,7 +2,8 @@
 
 Every subcommand is listed once, with its options and its handler, in
 _COMMANDS.  Each reads one network file (or - for standard input) and
-writes its report to standard output; diagnostics go to standard error.
+writes its report to standard output, both UTF-8 under main() whatever
+the locale; diagnostics go to standard error.
 
 Exit codes: 0 success, 2 parse or usage error or unreadable input (also
 when standard output is closed before the report is written, as by
@@ -103,7 +104,7 @@ def _cmd_maxflow(net: Network, args: argparse.Namespace, structured: bool) -> in
         records += [
             ("cut_edge", e.id, e.tail, e.head, e.capacity) for e in cut.cut_edges
         ]
-        records += [("edge_flow", e.id, flow.edge_flow[e.id]) for e in net.edges]
+        records += [("edge_flow", e.id, flow.edge_flow.get(e.id, 0)) for e in net.edges]
         records += [
             ("path", p.label, p.bottleneck, render_path(net, p.edges)) for p in flow.paths
         ]
@@ -117,7 +118,7 @@ def _cmd_maxflow(net: Network, args: argparse.Namespace, structured: bool) -> in
             print(f"  cut edge e{e.id} {e.tail}->{e.head} capacity {e.capacity}")
         print("edge flows:")
         for e in net.edges:
-            print(f"  e{e.id} {e.tail}->{e.head}: {flow.edge_flow[e.id]}/{e.capacity}")
+            print(f"  e{e.id} {e.tail}->{e.head}: {flow.edge_flow.get(e.id, 0)}/{e.capacity}")
         print("decomposition:")
         for p in flow.paths:
             print(f"  {p.label}: {render_path(net, p.edges)} amount {p.bottleneck}")
@@ -131,7 +132,9 @@ def _cmd_tables(net: Network, args: argparse.Namespace, structured: bool) -> int
     bottleneck = [min(net.edges[eid].capacity for eid in p.edges) for p in tables.paths]
     if structured:
         records: list[tuple] = [
-            ("edge_color", e.id, color_name(p)) for e in net.edges for p in tables.edge_paths[e.id]
+            ("edge_color", e.id, color_name(p))
+            for e in net.edges
+            for p in tables.edge_paths.get(e.id, ())
         ]
         records += [("edge_residual", e.id, e.capacity) for e in net.edges]
         for path in tables.paths:
@@ -156,7 +159,7 @@ def _cmd_tables(net: Network, args: argparse.Namespace, structured: bool) -> int
         width = max((len(label) for label in edge_label.values()), default=0)
         print("EDGE COLORS")
         for e in net.edges:
-            names = " ".join(color_name(p) for p in tables.edge_paths[e.id])
+            names = " ".join(color_name(p) for p in tables.edge_paths.get(e.id, ()))
             print(f"  {edge_label[e.id]:<{width}} | {names}")
         print("EDGE RESIDUAL CAPACITY")
         for e in net.edges:
@@ -368,6 +371,8 @@ def run(argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    for stream in filter(None, (sys.stdin, sys.stdout)):  # None when closed
+        stream.reconfigure(encoding="utf-8")  # networks are UTF-8 whatever the locale
     try:
         code = run(sys.argv[1:] if argv is None else argv)
         sys.stdout.flush()  # a closed pipe raises here, not at exit

@@ -12,10 +12,10 @@ flows and min cut.
 
 The search that finds the sink out of reach labels the source side of the
 canonical min cut, whose edges are read from the smaller side.  max_flow
-then hands its flows and those labels to decompose_cut_paths, which
-cancels any flow cycles and peels simple source-sink paths, lowest edge id
-first; each path crosses that cut exactly once.  Both read only the edges
-the augmentations pushed on, so they cost O(support), not O(V + E).
+then hands a copy of its flows, kept only for edges that carry flow, and
+those labels to decompose_cut_paths, which cancels any flow cycles and
+peels simple source-sink paths, lowest edge id first; each path crosses
+that cut exactly once.  Both cost O(support), not O(V + E).
 """
 
 from __future__ import annotations
@@ -63,10 +63,11 @@ class Cut:
 
 @dataclass(frozen=True, slots=True)
 class FlowState:
-    """A max flow for one commodity, its canonical min cut, and the paths
-    it decomposes into, numbered from 1 in the order they were peeled."""
+    """One commodity's max flow: `edge_flow` maps each edge with positive
+    flow, by ascending id, to its flow before cycle cancelling; its min cut;
+    and the paths it decomposes into, numbered from 1 in peeling order."""
 
-    edge_flow: tuple[int, ...]
+    edge_flow: dict[int, int]
     value: int
     min_cut: Cut
     paths: tuple[ColoredPath, ...]
@@ -229,18 +230,18 @@ def max_flow(net: Network, com: Commodity) -> FlowState:
     cut = _source_cut(net, dist, levels)
     assert com.sink not in cut.source_side
     assert value == cut.capacity, "flow value must equal the reachability cut capacity"
-    # Only the edges pushed on can carry flow; arc a | 1's residual is the
-    # flow on arc a's edge.
-    flows = {a >> 1: res[a | 1] for a in sorted(pushed)}
-    paths = decompose_cut_paths(net, com, flows, dist, value)
-    return FlowState(tuple(res[1::2]), value, cut, paths)
+    # Only the edges pushed on can carry flow, and only those that do are
+    # kept; arc a | 1's residual is the flow on arc a's edge.
+    flows = {a >> 1: f for a in sorted(pushed) if (f := res[a | 1])}
+    paths = decompose_cut_paths(net, com, dict(flows), dist, value)
+    return FlowState(flows, value, cut, paths)
 
 
 def _cancel_flow_cycles(net: Network, flows: dict[int, int]) -> dict[int, list[tuple[int, int]]]:
     """Zero every directed cycle of the positive-flow subgraph, in place.
 
-    `flows` maps edge ids, ascending, to their flow and holds every edge
-    with positive flow; max_flow passes only the edges it pushed on.
+    `flows` maps exactly the edges with positive flow, ascending by id, to
+    their flow, as FlowState.edge_flow does.
     Backward augmentations can leave flow cycles; they carry no source-sink
     value.  Returns `positive`: per node with positive out-flow before
     cancelling, (edge id, head) for those edges, highest id first.  Each
@@ -251,9 +252,8 @@ def _cancel_flow_cycles(net: Network, flows: dict[int, int]) -> dict[int, list[t
     """
     tail = net.arcs.tail
     positive: dict[int, list[tuple[int, int]]] = {}
-    for eid, amount in reversed(flows.items()):
-        if amount > 0:
-            positive.setdefault(tail[2 * eid], []).append((eid, tail[2 * eid + 1]))
+    for eid in reversed(flows):
+        positive.setdefault(tail[2 * eid], []).append((eid, tail[2 * eid + 1]))
     while True:
         state: dict[int, int] = {}  # 1 on the trail, 2 done; unvisited nodes are absent
         cycle: list[int] | None = None
@@ -294,7 +294,7 @@ def _cancel_flow_cycles(net: Network, flows: dict[int, int]) -> dict[int, list[t
 def decompose_cut_paths(
     net: Network, com: Commodity, flows: dict[int, int], depth: list[int], value: int
 ) -> tuple[ColoredPath, ...]:
-    """Peel max_flow's sparse final edge flows into simple paths of `com`, zeroing them.
+    """Peel `flows`, a copy of max_flow's edge flows, into simple paths of `com`, zeroing it.
 
     `depth` is -1 exactly outside the min cut's source side, as the last
     search left it.  Deterministic: flow cycles are cancelled first, then

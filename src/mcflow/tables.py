@@ -8,7 +8,8 @@ A path's position in that list is its identity: it names the path's color
 edges; their capacities are read from the network.  Besides the flows and
 the paths, the tables record:
 
-    edge_paths        per edge: positions of the paths using it, ascending
+    edge_paths        by edge id: positions of the paths using it, ascending;
+                      an edge that no path uses has no entry
     path_color_count  per path: distinct colors over its edges
 
 The tables are built once and never change: greedy_solve keeps its
@@ -17,6 +18,7 @@ residuals, statuses and live color counts to itself.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .maxflow import ColoredPath, FlowState, max_flow
@@ -59,7 +61,7 @@ class FlowTables:
     network: Network
     flows: tuple[FlowState, ...]
     paths: tuple[ColoredPath, ...]
-    edge_paths: tuple[tuple[int, ...], ...]
+    edge_paths: dict[int, tuple[int, ...]]
     path_color_count: tuple[int, ...]
 
 
@@ -71,17 +73,12 @@ def build_tables(net: Network) -> FlowTables:
     """
     flows = tuple(max_flow(net, com) for com in net.commodities)
     paths = tuple(path for flow in flows for path in flow.paths)
-    edge_paths: list[list[int]] = [[] for _ in net.edges]
+    edge_paths: defaultdict[int, list[int]] = defaultdict(list)
     for position, path in enumerate(paths):
         for eid in path.edges:
             edge_paths[eid].append(position)
     color_count = tuple(
         len(set().union(*(edge_paths[eid] for eid in path.edges))) for path in paths
     )
-    return FlowTables(
-        network=net,
-        flows=flows,
-        paths=paths,
-        edge_paths=tuple(map(tuple, edge_paths)),
-        path_color_count=color_count,
-    )
+    cells = {eid: tuple(positions) for eid, positions in edge_paths.items()}
+    return FlowTables(net, flows, paths, cells, color_count)

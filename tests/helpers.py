@@ -311,6 +311,11 @@ def reference_augment(net: Network, edge_flow, found: Augmentation) -> tuple[int
     return tuple(flows)
 
 
+def dense_flow(net: Network, edge_flow: dict[int, int]) -> list[int]:
+    """FlowState.edge_flow as one flow per edge id, zero where it omits one."""
+    return [edge_flow.get(e.id, 0) for e in net.edges]
+
+
 def reference_max_flow(net: Network, com: Commodity) -> FlowState:
     """Stepwise Edmonds-Karp: a fresh search and a new flow tuple per
     augmentation, then the min cut from a separate reachability pass and
@@ -320,7 +325,8 @@ def reference_max_flow(net: Network, com: Commodity) -> FlowState:
     while (found := reference_augmenting_path(net, flows, com.source, com.sink)) is not None:
         flows = reference_augment(net, flows, found)
         value += found.leeway
-    f = FlowState(flows, value, reference_cut(net, flows, com.source), ())
+    positive = {eid: amount for eid, amount in enumerate(flows) if amount > 0}
+    f = FlowState(positive, value, reference_cut(net, flows, com.source), ())
     return dataclasses.replace(f, paths=tuple(reference_decompose_cut_paths(net, com, f)))
 
 
@@ -413,7 +419,7 @@ def reference_decompose_cut_paths(net: Network, com: Commodity, f: FlowState) ->
     """
     cut_ids = {e.id for e in f.min_cut.cut_edges}
     out = reference_out_edges(net)
-    flows = list(f.edge_flow)
+    flows = dense_flow(net, f.edge_flow)
     reference_cancel_flow_cycles(net, flows)
     paths: list[ColoredPath] = []
     peeled = 0
@@ -445,12 +451,14 @@ def audit_tables(tables) -> list[str]:
     """Cross-check the tables' per-edge and per-path columns against their
     defining rule, recomputed from the paths; [] when clean."""
     problems: list[str] = []
-    expected_paths: list[list[int]] = [[] for _ in tables.network.edges]
+    expected_paths: dict[int, list[int]] = {}
     for position, path in enumerate(tables.paths):
         for eid in path.edges:
-            expected_paths[eid].append(position)
+            expected_paths.setdefault(eid, []).append(position)
     for edge in tables.network.edges:
-        if list(tables.edge_paths[edge.id]) != expected_paths[edge.id]:
+        if edge.id in tables.edge_paths and edge.id not in expected_paths:
+            problems.append(f"edge {edge.id}: indexed although no path uses it")
+        elif list(tables.edge_paths.get(edge.id, ())) != expected_paths.get(edge.id, []):
             problems.append(f"edge {edge.id}: path index out of sync")
     for position, path in enumerate(tables.paths):
         colors = {p for eid in path.edges for p in expected_paths[eid]}

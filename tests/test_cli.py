@@ -664,9 +664,29 @@ class TestEntryPoints:
             [sys.executable, "-m", "mcflow", "validate", GOLDEN],
             capture_output=True,
             text=True,
+            env=_module_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout == "ok\n"
+
+    @pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+    def test_reads_and_writes_utf8_whatever_the_locale(self, tmp_path, from_stdin):
+        target = tmp_path / "accent.net"
+        target.write_bytes("node sä\nnode t\nedge sä t 3\ncommodity sä t\n".encode("utf-8"))
+        outputs = {}
+        for encoding in ("ascii", "latin-1", "utf-8"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "mcflow", "solve", "-" if from_stdin else str(target)],
+                input=target.read_bytes() if from_stdin else None,
+                capture_output=True,
+                env={**_module_env(), "PYTHONIOENCODING": encoding},
+                timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert b"Traceback" not in proc.stderr
+            outputs[encoding] = proc.stdout
+        assert outputs["ascii"] == outputs["latin-1"] == outputs["utf-8"]
+        assert "sä->t amount 3".encode("utf-8") in outputs["utf-8"]
 
     def test_reader_closing_early_exits_cleanly(self, capsys, tmp_path):
         # `mcflow tables big.net | head -1`: the report is larger than a
@@ -680,6 +700,7 @@ class TestEntryPoints:
             [sys.executable, "-m", "mcflow", "tables", str(target)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
+            env=_module_env(),
         )
         first = proc.stdout.readline()
         proc.stdout.close()

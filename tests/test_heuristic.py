@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    CountingList,
+    CountingDict,
     checked_term_sum,
     corrupt_assignment,
     direct_inclusion_exclusion,
@@ -177,7 +177,7 @@ class TestGreedyReadBound:
         )
         net = Network(core.nodes + names, core.edges + ring, core.commodities)
         tables = build_tables(net)
-        counting = CountingList(tables.edge_paths)
+        counting = CountingDict(tables.edge_paths)
         got = greedy_solve(dataclasses.replace(tables, edge_paths=counting))
         assert got == greedy_solve(tables)
         assert got.discarded

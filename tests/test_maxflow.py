@@ -14,6 +14,7 @@ from helpers import (
     CountingList,
     add_circulations,
     brute_force_min_cut,
+    dense_flow,
     flow_is_feasible,
     networks,
     random_network,
@@ -42,18 +43,20 @@ from mcflow.maxflow import _cancel_flow_cycles
 
 def assert_matches_reference(net):
     """The whole FlowState, min cut and paths included, equals the
-    reference for every commodity."""
+    reference for every commodity, and its flows run by ascending edge id."""
     for com in net.commodities:
         f = max_flow(net, com)
         assert f == reference_max_flow(net, com)
+        assert list(f.edge_flow) == sorted(f.edge_flow)
 
 
 def assert_cancels_like_reference(net, edge_flow):
     """_cancel_flow_cycles leaves the same flows as the reference."""
-    ours, theirs = dict(enumerate(edge_flow)), list(edge_flow)
+    ours = {eid: amount for eid, amount in enumerate(edge_flow) if amount > 0}
+    theirs = list(edge_flow)
     _cancel_flow_cycles(net, ours)
     reference_cancel_flow_cycles(net, theirs)
-    assert list(ours.values()) == theirs
+    assert dense_flow(net, ours) == theirs
     return theirs
 
 
@@ -89,7 +92,7 @@ class TestFindAugmentingPath:
         assert reference_augmenting_path(net, (5,), "s", "t") is None
         # max_flow's own search agrees: it stops at the saturated flow
         f = max_flow(net, net.commodity(1))
-        assert f.edge_flow == (5,)
+        assert f.edge_flow == {0: 5}
         assert [p.edges for p in f.paths] == [(0,)]
 
     def test_golden_first_path_is_the_direct_edge(self, golden_net):
@@ -168,7 +171,7 @@ class TestMatchesReference:
             "commodity s t\n"
         )
         f = max_flow(net, net.commodity(1))
-        assert f.edge_flow == (1, 1, 1, 1, 1, 1, 0, 1, 1)
+        assert f.edge_flow == {0: 1, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 7: 1, 8: 1}
         assert f == reference_max_flow(net, net.commodity(1))
 
     @settings(max_examples=100)
@@ -212,7 +215,7 @@ class TestMatchesReference:
         assert augmenting_path_lengths(net, "s", "t") == [3, 3, 3, 3]
         f = max_flow(net, net.commodity(1))
         assert f.value == 4
-        assert f.edge_flow == (2, 1, 1, 1, 0, 0, 1, 1, 3, 1, 1)
+        assert f.edge_flow == {0: 2, 1: 1, 2: 1, 3: 1, 6: 1, 7: 1, 8: 3, 9: 1, 10: 1}
         assert f == reference_max_flow(net, net.commodity(1))
 
     # Each phase's search grows whole levels from both ends, always on the
@@ -366,14 +369,15 @@ class TestMaxFlow:
             f = max_flow(net, com)
             assert f.value == f.min_cut.capacity
             assert f.value == brute_force_min_cut(net, com.source, com.sink)
-            assert flow_is_feasible(net, f.edge_flow, com.source, com.sink)
+            flows = dense_flow(net, f.edge_flow)
+            assert flow_is_feasible(net, flows, com.source, com.sink)
             # cut edges saturated, reverse edges across the cut idle
             side = f.min_cut.source_side
             for e in net.edges:
                 if e.tail in side and e.head not in side:
-                    assert f.edge_flow[e.id] == e.capacity
+                    assert flows[e.id] == e.capacity
                 if e.head in side and e.tail not in side:
-                    assert f.edge_flow[e.id] == 0
+                    assert flows[e.id] == 0
 
     def test_two_runs_identical(self, golden_net):
         a = max_flow(golden_net, golden_net.commodity(2))
@@ -386,7 +390,7 @@ class TestMaxFlow:
         com = net.commodities[0]
         f = max_flow(net, com)
         assert f.value == f.min_cut.capacity
-        assert flow_is_feasible(net, f.edge_flow, com.source, com.sink)
+        assert flow_is_feasible(net, dense_flow(net, f.edge_flow), com.source, com.sink)
 
 
 class TestDecomposeCutPaths:
@@ -441,7 +445,7 @@ class TestDecomposeCutPaths:
                 for eid in p.edges:
                     replay[eid] += p.bottleneck
             # replay stays under the original flow edge-wise, same value
-            assert all(replay[e.id] <= f.edge_flow[e.id] for e in net.edges)
+            assert all(r <= flow for r, flow in zip(replay, dense_flow(net, f.edge_flow)))
 
     @settings(max_examples=60)
     @given(networks(max_nodes=6, max_edges=10))
@@ -465,7 +469,7 @@ class TestDecompositionMatchesReference:
             net = random_network(rng, max_nodes=12, max_edges=80)
             com = net.commodities[0]
             f = max_flow(net, com)
-            if reference_find_flow_cycle(net, list(f.edge_flow)) is not None:
+            if reference_find_flow_cycle(net, dense_flow(net, f.edge_flow)) is not None:
                 with_cycles += 1
             assert f.paths == tuple(reference_decompose_cut_paths(net, com, f))
         assert with_cycles >= 1  # the comparison covers cycle cancelling
@@ -479,7 +483,7 @@ class TestDecompositionMatchesReference:
             net = random_network(rng, max_nodes=8, max_edges=30, max_cap=6)
             com = net.commodities[0]
             f = max_flow(net, com)
-            spun = add_circulations(net, f.edge_flow, rng)
+            spun = add_circulations(net, dense_flow(net, f.edge_flow), rng)
             if reference_find_flow_cycle(net, list(spun)) is not None:
                 with_cycles += 1
             cancelled = assert_cancels_like_reference(net, spun)
@@ -553,7 +557,7 @@ class TestStressFixtures:
         assert_matches_reference(net)
         f = max_flow(net, net.commodity(1))
         assert f.value == 0
-        assert f.edge_flow == (0, 0, 0, 0)
+        assert f.edge_flow == {}
         assert f.min_cut.source_side == frozenset({"s", "a"})
         assert [e.id for e in f.min_cut.cut_edges] == [1]
         assert f.paths == ()
@@ -624,19 +628,36 @@ class TestSupportBound:
     augmentations pushed on: cancelling flow cycles and peeling paths cost
     O(support), however much of the network the flow never touches."""
 
-    def test_unreached_component_is_not_read(self, monkeypatch):
-        # The first path s-u-v-t leaves only s-x-v-u-y-t, which takes the
-        # forward edge v->u before the backward arc of u->v: a flow cycle.
-        gadget = ["s u 1", "u v 1", "v t 1", "s x 1", "x v 1", "v u 1", "u y 1", "y t 1"]
+    # The first path s-u-v-t leaves only s-x-v-u-y-t, which takes the
+    # forward edge v->u before the backward arc of u->v: a flow cycle.
+    GADGET = ["s u 1", "u v 1", "v t 1", "s x 1", "x v 1", "v u 1", "u y 1", "y t 1"]
+
+    @classmethod
+    def ring_and_gadget(cls):
+        """The gadget after 1 212 edges of a ring that no s-t path can use;
+        returns the network and the gadget's first edge id."""
         size = 600
         names = " ".join(f"z{i}" for i in range(size))
         ring = [f"z{i} z{(i + 1) % size} 3" for i in range(size)]
         ring += [f"z{i} z{(i + 7) % size} 2" for i in range(size)]
         ring += [f"z{i} s 1" for i in range(0, size, 50)]  # into s, never out of it
-        net = _network(f"s t u v x y {names}", ring + gadget)
-        first = len(ring)  # the gadget's first edge id
+        return _network(f"s t u v x y {names}", ring + cls.GADGET), len(ring)
+
+    def test_records_hold_only_the_support(self):
+        # Before cancelling every gadget edge carries one unit; no path
+        # keeps u->v or v->u, the cycle cancelling zeroes.
+        net, first = self.ring_and_gadget()
+        f = max_flow(net, net.commodity(1))
+        assert f.edge_flow == dict.fromkeys(range(first, first + len(self.GADGET)), 1)
+        tables = build_tables(net)
+        assert set(tables.edge_paths) == {e for p in tables.paths for e in p.edges}
+        assert sorted(tables.edge_paths) == [first + e for e in (0, 2, 3, 4, 6, 7)]
+
+    def test_unreached_component_is_not_read(self, monkeypatch):
+        net, first = self.ring_and_gadget()
+        gadget = self.GADGET
         expected = reference_max_flow(net, net.commodity(1))
-        assert reference_find_flow_cycle(net, list(expected.edge_flow)) is not None
+        assert reference_find_flow_cycle(net, dense_flow(net, expected.edge_flow)) is not None
 
         arcs = net.arcs
         tail, out = CountingList(arcs.tail), CountingList(arcs.out)

@@ -48,7 +48,7 @@ class TestBuildTables:
     def test_golden_edge_colors(self, golden_text):
         # Every path owns its color, so an edge's colors are its paths.
         t = fresh_golden(golden_text)
-        named = [sorted(color_name(p) for p in cell) for cell in t.edge_paths]
+        named = [sorted(color_name(p) for p in cell) for _, cell in sorted(t.edge_paths.items())]
         assert named == [
             ["Violet"],
             ["Green", "Red"],
@@ -112,18 +112,20 @@ class TestBuildTables:
         )
         t = build_tables(net)
         assert t.paths == ()
-        assert t.edge_paths == ((), ())
+        assert t.edge_paths == {}
         assert [f.value for f in t.flows] == [0]
         assert audit_tables(t) == []
 
     def test_golden_indexes(self, golden_text):
         t = fresh_golden(golden_text)
         assert [(p.commodity, p.ordinal) for p in t.paths] == [(1, 1), (1, 2), (2, 1), (2, 2)]
-        assert t.edge_paths == ((0,), (1, 2), (1,), (1, 3), (2,), (2,), (3,), (3,))
+        assert t.edge_paths == {
+            0: (0,), 1: (1, 2), 2: (1,), 3: (1, 3), 4: (2,), 5: (2,), 6: (3,), 7: (3,)
+        }
 
     def test_color_ids_are_dense_and_distinct(self, golden_text):
         t = fresh_golden(golden_text)
-        assert set().union(*t.edge_paths) == set(range(4))
+        assert set().union(*t.edge_paths.values()) == set(range(4))
         assert len({color_name(p) for p in range(4)}) == 4
         assert [color_name(p) for p in range(16)] == [
             "Violet", "Red", "Green", "Yellow", "Blue", "Orange", "Cyan", "Magenta",
@@ -242,9 +244,14 @@ class TestApplyShipment:
 class TestAuditTables:
     def test_detects_color_set_tampering(self, golden_text):
         t = fresh_golden(golden_text)
-        cells = list(t.edge_paths)
+        cells = dict(t.edge_paths)
         cells[7] = (0, 3)
-        assert audit_tables(dataclasses.replace(t, edge_paths=tuple(cells))) != []
+        assert audit_tables(dataclasses.replace(t, edge_paths=cells)) != []
+
+    def test_detects_a_cell_for_an_unused_edge(self):
+        t = build_tables(parse_network("node s\nnode t\nedge s t 0\ncommodity s t\n"))
+        assert audit_tables(t) == []
+        assert audit_tables(dataclasses.replace(t, edge_paths={0: ()})) != []
 
     def test_seeded_random_shipment_sequences_stay_clean(self):
         # Greedy reads the tables and leaves them as build_tables made them.
