@@ -54,6 +54,8 @@ def _budget(text: str) -> int:
 
 def _read_input(source: str) -> str:
     if source == "-":
+        if sys.stdin is None:  # Python's stand-in for a closed descriptor
+            raise OSError("standard input is closed")
         return sys.stdin.read()
     with open(source, "r", encoding="utf-8") as handle:
         return handle.read()
@@ -371,8 +373,14 @@ def run(argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    for stream in filter(None, (sys.stdin, sys.stdout)):  # None when closed
-        stream.reconfigure(encoding="utf-8")  # networks are UTF-8 whatever the locale
+    if sys.stdout is None:  # closed: the report cannot be written
+        print("error: standard output is closed", file=sys.stderr)
+        return 2
+    for stream in filter(None, (sys.stdin, sys.stdout, sys.stderr)):  # None when closed
+        # Networks, reports and diagnostics are UTF-8 whatever the locale;
+        # diagnostics still escape what UTF-8 cannot encode.
+        errors = "backslashreplace" if stream is sys.stderr else "strict"
+        stream.reconfigure(encoding="utf-8", errors=errors)
     try:
         code = run(sys.argv[1:] if argv is None else argv)
         sys.stdout.flush()  # a closed pipe raises here, not at exit

@@ -10,7 +10,8 @@ The text format is line oriented, UTF-8, one directive per line:
 Every node must be declared before the first edge or commodity line that
 references it.  Edge ids are dense, 0..p-1, in declaration order; commodity
 indices are 1-based, also in declaration order.  Parallel edges are legal,
-self-loops are not, and zero-capacity edges are allowed.
+self-loops are not, and zero-capacity edges are allowed.  A parsed network's
+edges and commodities refer to the declared name objects, so each is held once.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def parse_network(text: str) -> Network:
     `_line_error` to be worded.  Those tests reject everything Network's
     own check would, so accepted text never raises anything else.
     """
-    declared: dict[str, None] = {}  # the node names, in declaration order
+    declared: dict[str, str] = {}  # each node name to itself, in declaration order
     tails: list[str] = []
     heads: list[str] = []
     capacities: list[int] = []
@@ -158,8 +159,8 @@ def parse_network(text: str) -> Network:
     for lineno, line in enumerate(lines, start=1):
         parts = line.split()
         if len(parts) == 4 and parts[0] == "edge":
-            _, tail, head, capacity = parts
-            if tail in declared and head in declared and tail != head:
+            tail, head, capacity = declared.get(parts[1]), declared.get(parts[2]), parts[3]
+            if tail and head and tail is not head:
                 # isascii: int() would also take non-ASCII digits.
                 if capacity.isdigit() and capacity.isascii() and len(capacity) <= most_digits:
                     tails.append(tail)
@@ -168,11 +169,11 @@ def parse_network(text: str) -> Network:
                     continue
         elif len(parts) == 2 and parts[0] == "node":
             if parts[1].isprintable() and parts[1] not in declared:
-                declared[parts[1]] = None
+                declared[parts[1]] = parts[1]
                 continue
         elif len(parts) == 3 and parts[0] == "commodity":
-            _, source, sink = parts
-            if source in declared and sink in declared and source != sink:
+            source, sink = declared.get(parts[1]), declared.get(parts[2])
+            if source and sink and source is not sink:
                 commodities.append(Commodity(len(commodities) + 1, source, sink))
                 continue
         elif not parts or parts[0].startswith("#"):  # blank or comment

@@ -688,6 +688,52 @@ class TestEntryPoints:
         assert outputs["ascii"] == outputs["latin-1"] == outputs["utf-8"]
         assert "sä->t amount 3".encode("utf-8") in outputs["utf-8"]
 
+    def test_diagnostics_are_utf8_whatever_the_locale(self, tmp_path):
+        target = tmp_path / "twice.net"
+        target.write_bytes("node sä\nnode sä\n".encode("utf-8"))
+        diagnostics = set()
+        for encoding in ("ascii", "latin-1", "utf-8"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "mcflow", "validate", str(target)],
+                capture_output=True,
+                env={**_module_env(), "PYTHONIOENCODING": encoding},
+                timeout=60,
+            )
+            assert (proc.returncode, proc.stdout) == (2, b"")
+            diagnostics.add(proc.stderr)
+        assert diagnostics == {"error: line 2: duplicate node name 'sä'\n".encode("utf-8")}
+
+    def test_diagnostics_escape_what_utf8_cannot_encode(self):
+        # An argument that is not UTF-8 reaches argparse as a lone surrogate.
+        proc = subprocess.run(
+            [sys.executable, "-m", "mcflow", "validate", GOLDEN, b"\xff"],
+            capture_output=True,
+            env=_module_env(),
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.endswith(b"error: unrecognized arguments: \\udcff\n")
+
+    @pytest.mark.parametrize(
+        "closed, source, expected",
+        [
+            (0, "-", (2, b"error: standard input is closed\n")),
+            (1, GOLDEN, (2, b"error: standard output is closed\n")),
+            (0, GOLDEN, (0, b"")),  # a file is read, never the closed stdin
+        ],
+        ids=["stdin", "stdout", "stdin-unread"],
+    )
+    def test_closed_standard_stream(self, closed, source, expected):
+        # Python sets sys.stdin or sys.stdout to None for a closed descriptor.
+        proc = subprocess.run(
+            [sys.executable, "-m", "mcflow", "validate", source],
+            capture_output=True,
+            env=_module_env(),
+            timeout=60,
+            preexec_fn=lambda: os.close(closed),
+        )
+        assert (proc.returncode, proc.stderr) == expected
+
     def test_reader_closing_early_exits_cleanly(self, capsys, tmp_path):
         # `mcflow tables big.net | head -1`: the report is larger than a
         # pipe buffer, so mcflow is still writing when the reader leaves.

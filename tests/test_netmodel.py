@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -351,6 +352,41 @@ class TestParsedEdgeContract:
         assert dataclasses.astuple(edge) == (4, "s2", "s1", 10)
         assert dataclasses.replace(edge, capacity=3) == Edge(4, "s2", "s1", 3)
         assert edge.capacity == 10
+
+
+class TestParsedNamesAreShared:
+    """Every edge end and commodity end of a parsed network is the declared
+    name object itself, so the network holds each name once."""
+
+    @staticmethod
+    def assert_shared(net):
+        declared = {name: name for name in net.nodes}
+        for edge in net.edges:
+            assert edge.tail is declared[edge.tail] and edge.head is declared[edge.head]
+        for com in net.commodities:
+            assert com.source is declared[com.source] and com.sink is declared[com.sink]
+
+    def test_golden(self, golden_net):
+        self.assert_shared(golden_net)
+
+    def test_seeded_corpus(self):
+        rng = random.Random(25)
+        nets = [regular_network(rng, 50, 3, 4) for _ in range(5)]
+        nets += [random_network(rng, 12, 40, commodity_range=(1, 3)) for _ in range(40)]
+        for net in nets:
+            self.assert_shared(parse_network(render_network(net)))
+
+    def test_parsed_network_size(self):
+        # About 280 KB; 535 KB when every edge end kept its own string.
+        text = render_network(regular_network(random.Random(1), 600, 4, 16))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            net = parse_network(text)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(net.edges) == 2400 and held < 400_000
 
 
 class TestSoundTextIsNotWorded:
