@@ -5,9 +5,9 @@ _COMMANDS.  Each reads one network file (or - for standard input) and
 writes its report to standard output, both UTF-8 under main() whatever
 the locale; diagnostics go to standard error.
 
-Exit codes: 0 success, 2 parse or usage error or unreadable input (also
-when standard output is closed before the report is written, as by
-`| head`), 3 oracle truncation.
+Exit codes: 0 success, 2 parse or usage error, unreadable input or a
+report that cannot be written (standard output closed, as by `| head`, or
+a full disk), 3 oracle truncation.
 
 The structured format is one record per line, fields separated by tabs,
 with repeated keys for list-valued data, so output is trivially machine
@@ -17,6 +17,7 @@ readable and byte-for-byte reproducible.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -61,6 +62,14 @@ def _read_input(source: str) -> str:
         return handle.read()
 
 
+def _error(message: str) -> int:
+    """One diagnostic line to standard error (never to standard output); returns exit code 2."""
+    if sys.stderr is not None:  # None when descriptor 2 was closed at start
+        with contextlib.suppress(OSError):  # or closed since
+            sys.stderr.write(f"error: {message}\n")
+    return 2
+
+
 def _print_rows(records: list[tuple]) -> None:
     """One tab-separated line per record; no records print nothing."""
     if records:
@@ -86,14 +95,13 @@ def _cmd_maxflow(net: Network, args: argparse.Namespace, structured: bool) -> in
     try:
         com = net.commodity(args.commodity)
     except ValueError:
-        print(
-            f"error: no commodity with index {args.commodity}"
-            f" (network declares {len(net.commodities)})",
-            file=sys.stderr,
+        return _error(
+            f"no commodity with index {args.commodity} (network declares {len(net.commodities)})"
         )
-        return 2
     flow = max_flow(net, com)
     cut = flow.min_cut
+    kept = set(cut.side)
+    source_side = [v for v in net.nodes if (v in kept) == cut.side_is_source]
     if structured:
         records: list[tuple] = [
             ("commodity", com.index),
@@ -102,7 +110,7 @@ def _cmd_maxflow(net: Network, args: argparse.Namespace, structured: bool) -> in
             ("value", flow.value),
             ("cut_capacity", cut.capacity),
         ]
-        records += [("cut_node", v) for v in net.nodes if v in cut.source_side]
+        records += [("cut_node", v) for v in source_side]
         records += [
             ("cut_edge", e.id, e.tail, e.head, e.capacity) for e in cut.cut_edges
         ]
@@ -114,8 +122,7 @@ def _cmd_maxflow(net: Network, args: argparse.Namespace, structured: bool) -> in
     else:
         print(f"commodity {com.index}: {com.source} -> {com.sink}")
         print(f"max flow value: {flow.value}")
-        side = " ".join(v for v in net.nodes if v in cut.source_side)
-        print(f"min cut: capacity {cut.capacity}, source side {{{side}}}")
+        print(f"min cut: capacity {cut.capacity}, source side {{{' '.join(source_side)}}}")
         for e in cut.cut_edges:
             print(f"  cut edge e{e.id} {e.tail}->{e.head} capacity {e.capacity}")
         print("edge flows:")
@@ -367,15 +374,13 @@ def run(argv: list[str]) -> int:
     try:
         net = parse_network(_read_input(args.input))
     except (OSError, UnicodeDecodeError, NetworkParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(str(exc))
     return args.handler(net, args, getattr(args, "format", None) == "structured")
 
 
 def main(argv: list[str] | None = None) -> int:
     if sys.stdout is None:  # closed: the report cannot be written
-        print("error: standard output is closed", file=sys.stderr)
-        return 2
+        return _error("standard output is closed")
     for stream in filter(None, (sys.stdin, sys.stdout, sys.stderr)):  # None when closed
         # Networks, reports and diagnostics are UTF-8 whatever the locale;
         # diagnostics still escape what UTF-8 cannot encode.
@@ -383,11 +388,10 @@ def main(argv: list[str] | None = None) -> int:
         stream.reconfigure(encoding="utf-8", errors=errors)
     try:
         code = run(sys.argv[1:] if argv is None else argv)
-        sys.stdout.flush()  # a closed pipe raises here, not at exit
-    except BrokenPipeError:
-        # The reader left early.  Point stdout at devnull so the flush at
-        # interpreter exit does not raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        return 2
+        sys.stdout.flush()  # a closed pipe or a full disk raises here, not at exit
+    except OSError as exc:
+        # Point stdout at devnull so the flush at interpreter exit does not
+        # raise again.  A reader that left early (`| head`) needs no word.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2 if isinstance(exc, BrokenPipeError) else _error(f"cannot write the report: {exc}")
     return code

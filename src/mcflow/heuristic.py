@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .maxflow import ColoredPath, Cut
-from .netmodel import Network, _check_references
+from .netmodel import Network
 from .tables import FlowTables
 
 __all__ = [
@@ -138,49 +138,49 @@ def intersection_terms(cuts: Sequence[Cut]) -> Iterator[tuple[tuple[int, ...], i
 def validate_assignment(net: Network, assignment: Assignment) -> list[str]:
     """Check capacity sharing, per-commodity conservation, and totals.
 
-    Returns one message per violation; raises ValueError if the assignment
-    references an edge or commodity the network does not have.  One pass
-    over edge_flow fills per-edge totals and a balance (inflow minus
-    outflow) per (commodity, node) it touches; in and out totals are
-    rebuilt only to word a violation, so the check costs O(E + K + flow entries).
+    Returns one message per violation; raises ValueError at the first
+    edge_flow entry naming a commodity or edge the network does not have.
+    One pass over edge_flow sums the edges it touches and, per commodity,
+    a balance (inflow minus outflow) per node; an untouched edge carries 0,
+    which its capacity allows.  So the check costs O(K + flow entries), and
+    more only to word a conservation violation.
     """
-    _check_references(net, assignment)
+    edges = net.edges
+    balances: dict[int, dict[str, int]] = {com.index: {} for com in net.commodities}
+    used: dict[int, int] = {}
     violations: list[str] = []
-    used = [0] * len(net.edges)
-    balance: dict[tuple[int, str], int] = {}
     for (commodity_index, eid), units in assignment.edge_flow.items():
+        balance = balances.get(commodity_index)
+        if balance is None:
+            raise ValueError(f"assignment references unknown commodity {commodity_index}")
+        if not 0 <= eid < len(edges):
+            raise ValueError(f"assignment references unknown edge {eid}")
         if units < 0:
             violations.append(f"commodity {commodity_index}, edge {eid}: negative flow {units}")
-        edge = net.edges[eid]
-        used[eid] += units
-        head = (commodity_index, edge.head)
-        tail = (commodity_index, edge.tail)
-        balance[head] = balance.get(head, 0) + units
-        balance[tail] = balance.get(tail, 0) - units
-    for edge in net.edges:
-        if used[edge.id] > edge.capacity:
-            violations.append(
-                f"edge {edge.id} ({edge.tail}->{edge.head}):"
-                f" total flow {used[edge.id]} exceeds capacity {edge.capacity}"
-            )
-    unbalanced: dict[int, list[str]] = {}
-    for (commodity_index, node), amount in balance.items():
-        if amount:
-            unbalanced.setdefault(commodity_index, []).append(node)
+        edge = edges[eid]
+        used[eid] = used.get(eid, 0) + units
+        balance[edge.head] = balance.get(edge.head, 0) + units
+        balance[edge.tail] = balance.get(edge.tail, 0) - units
+    for eid in sorted(eid for eid, total in used.items() if total > edges[eid].capacity):
+        edge = edges[eid]
+        violations.append(
+            f"edge {eid} ({edge.tail}->{edge.head}):"
+            f" total flow {used[eid]} exceeds capacity {edge.capacity}"
+        )
     for com in net.commodities:
-        bad = {n for n in unbalanced.get(com.index, ()) if n != com.source and n != com.sink}
-        if bad:
-            node_in = dict.fromkeys(bad, 0)
+        balance = balances[com.index]
+        net_out = -balance.pop(com.source, 0)
+        balance.pop(com.sink, None)
+        if any(balance.values()):  # a node other than the ends is unbalanced
+            node_in = {node: 0 for node, amount in balance.items() if amount}
             for (commodity_index, eid), units in assignment.edge_flow.items():
-                head = net.edges[eid].head
-                if commodity_index == com.index and head in bad:
-                    node_in[head] += units
+                if commodity_index == com.index and edges[eid].head in node_in:
+                    node_in[edges[eid].head] += units
             violations.extend(
                 f"commodity {com.index}, node {node}: inflow {node_in[node]}"
-                f" != outflow {node_in[node] - balance[com.index, node]}"
-                for node in net.nodes if node in bad
+                f" != outflow {node_in[node] - balance[node]}"
+                for node in net.nodes if node in node_in
             )
-        net_out = -balance.get((com.index, com.source), 0)
         declared = assignment.per_commodity_value.get(com.index, 0)
         if net_out != declared:
             violations.append(
@@ -189,14 +189,10 @@ def validate_assignment(net: Network, assignment: Assignment) -> list[str]:
             )
     shipped = sum(amount for _, amount in assignment.shipments)
     if assignment.total_value != shipped:
-        violations.append(
-            f"total {assignment.total_value} != shipment sum {shipped}"
-        )
+        violations.append(f"total {assignment.total_value} != shipment sum {shipped}")
     split = sum(assignment.per_commodity_value.values())
     if assignment.total_value != split:
-        violations.append(
-            f"total {assignment.total_value} != per-commodity sum {split}"
-        )
+        violations.append(f"total {assignment.total_value} != per-commodity sum {split}")
     return violations
 
 

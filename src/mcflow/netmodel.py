@@ -135,6 +135,8 @@ _DIRECTIVE_ARITY = {"node": 2, "edge": 4, "commodity": 3}
 # still print under the interpreter's default limit of 4300 digits; under a
 # lowered limit, a capacity keeps 300 digits below it.
 _MAX_CAPACITY_DIGITS = 4000
+# A diagnostic echoes at most this many characters of a token.
+_ECHO_CHARS = 64
 # Edge's slot descriptors, in field order.  Writing through them skips the
 # object.__setattr__ call per field of a frozen dataclass's __init__.
 _EDGE_SLOTS = tuple(Edge.__dict__[field.name].__set__ for field in fields(Edge))
@@ -192,36 +194,43 @@ def parse_network(text: str) -> Network:
     return Network(tuple(declared), tuple(edges), tuple(commodities))
 
 
+def _echo(token: str, show=repr) -> str:
+    """show(token), or past _ECHO_CHARS characters, show() of its start, then its length."""
+    long = len(token) > _ECHO_CHARS
+    return f"{show(token[:_ECHO_CHARS] + '…')} ({len(token)} characters)" if long else show(token)
+
+
 def _line_error(line: int, parts: list[str], declared: dict, most_digits: int) -> NetworkParseError:
     """The first fault of a line that failed parse_network's tests, in the
     order directive, arity, node name, endpoints, capacity and self-loop."""
     directive = parts[0]
     arity = _DIRECTIVE_ARITY.get(directive)
     if arity is None:
-        return NetworkParseError(line, f"unknown directive {directive!r}")
+        return NetworkParseError(line, f"unknown directive {_echo(directive)}")
     if len(parts) != arity:
         return NetworkParseError(
             line, f"{directive!r} expects {arity - 1} arguments, got {len(parts) - 1}"
         )
-    if directive == "node" and not parts[1].isprintable():
-        return NetworkParseError(line, f"node name {parts[1]!r} contains unprintable characters")
-    if directive == "node":
-        return NetworkParseError(line, f"duplicate node name {parts[1]!r}")
+    if directive == "node":  # an unprintable name, or else one declared before
+        name = _echo(parts[1])
+        if not parts[1].isprintable():
+            return NetworkParseError(line, f"node name {name} contains unprintable characters")
+        return NetworkParseError(line, f"duplicate node name {name}")
     for endpoint in parts[1:3]:  # an edge's or a commodity's two ends
         if endpoint not in declared:
-            return NetworkParseError(line, f"{directive} endpoint {endpoint!r} not declared")
+            return NetworkParseError(line, f"{directive} endpoint {_echo(endpoint)} not declared")
     if directive == "commodity":
         return NetworkParseError(line, "commodity source equals sink")
     tail, capacity = parts[1], parts[3]
     # int() would also take "+5", "1_0" and non-ASCII digits.
     digits = capacity.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
-        return NetworkParseError(line, f"capacity {capacity!r} is not an integer")
+        return NetworkParseError(line, f"capacity {_echo(capacity)} is not an integer")
     if capacity.startswith("-"):
-        return NetworkParseError(line, f"negative capacity {capacity}")
+        return NetworkParseError(line, f"negative capacity {_echo(capacity, str)}")
     if len(digits) > most_digits:  # parse_network's own length test
         return NetworkParseError(line, f"capacity has more than {most_digits} digits")
-    return NetworkParseError(line, f"self-loop on node {tail!r}")
+    return NetworkParseError(line, f"self-loop on node {_echo(tail)}")
 
 
 def _violations(net: Network) -> list[str]:

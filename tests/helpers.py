@@ -67,6 +67,50 @@ def render_network(net: Network) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A parse diagnostic shows at most this many characters of a token.
+ECHO_LIMIT = 64
+
+
+def echoed(token: str, quoted: bool = True) -> str:
+    """A token as a parse diagnostic shows it: whole, in repr() quotes unless
+    `quoted` is false, up to ECHO_LIMIT characters; past that, only its first
+    ECHO_LIMIT characters and a "…" go in the quotes, and its length follows."""
+    if len(token) <= ECHO_LIMIT:
+        return repr(token) if quoted else token
+    start = token[:ECHO_LIMIT] + "…"
+    return (repr(start) if quoted else start) + f" ({len(token)} characters)"
+
+
+_X, _Y = "x" * 100_000, "y" * 100_000
+# Network text with one overlong token: (text, line, the diagnostic's reason).
+LONG_TOKEN_CASES = [
+    (f"node {_X}\nnode {_X}\n", 2, f"duplicate node name '{'x' * 64}…' (100000 characters)"),
+    (
+        "node s\nnode a\x00" + "b" * 99,
+        2,
+        f"node name 'a\\x00{'b' * 62}…' (101 characters) contains unprintable characters",
+    ),
+    ("z" * 5000 + " a\n", 1, f"unknown directive '{'z' * 64}…' (5000 characters)"),
+    (
+        f"node s\nedge s {_Y} 3\n",
+        2,
+        f"edge endpoint '{'y' * 64}…' (100000 characters) not declared",
+    ),
+    (
+        "node s\nnode t\nedge s t +" + "9" * 100_000,
+        3,
+        f"capacity '+{'9' * 63}…' (100001 characters) is not an integer",
+    ),
+    (
+        "node s\nnode t\nedge s t -" + "9" * 5000,
+        3,
+        f"negative capacity -{'9' * 63}… (5001 characters)",
+    ),
+    (f"node {_X}\nedge {_X} {_X} 1\n", 2, f"self-loop on node '{'x' * 64}…' (100000 characters)"),
+    ("node " + "x" * 64 + "\nnode " + "x" * 64, 2, f"duplicate node name '{'x' * 64}'"),
+]
+
+
 def reference_parse_network(text: str) -> Network:
     """Parse network text; raises NetworkParseError with a line number.
 
@@ -89,7 +133,7 @@ def reference_parse_network(text: str) -> Network:
         directive = parts[0]
         arity = _DIRECTIVE_ARITY.get(directive)
         if arity is None:
-            raise NetworkParseError(lineno, f"unknown directive {directive!r}")
+            raise NetworkParseError(lineno, f"unknown directive {echoed(directive)}")
         if len(parts) != arity:
             raise NetworkParseError(
                 lineno,
@@ -99,31 +143,35 @@ def reference_parse_network(text: str) -> Network:
             name = parts[1]
             if not name.isprintable():
                 raise NetworkParseError(
-                    lineno, f"node name {name!r} contains unprintable characters"
+                    lineno, f"node name {echoed(name)} contains unprintable characters"
                 )
             if name in node_set:
-                raise NetworkParseError(lineno, f"duplicate node name {name!r}")
+                raise NetworkParseError(lineno, f"duplicate node name {echoed(name)}")
             nodes.append(name)
             node_set.add(name)
             continue
         for endpoint in parts[1:3]:  # an edge's or a commodity's two ends
             if endpoint not in node_set:
-                raise NetworkParseError(lineno, f"{directive} endpoint {endpoint!r} not declared")
+                raise NetworkParseError(
+                    lineno, f"{directive} endpoint {echoed(endpoint)} not declared"
+                )
         if directive == "edge":
             tail, head, cap_token = parts[1], parts[2], parts[3]
             # int() would also take "+5", "1_0" and non-ASCII digits.
             digits = cap_token.removeprefix("-")
             if not (digits.isascii() and digits.isdigit()):
                 raise NetworkParseError(
-                    lineno, f"capacity {cap_token!r} is not an integer"
+                    lineno, f"capacity {echoed(cap_token)} is not an integer"
                 )
             if cap_token.startswith("-"):
-                raise NetworkParseError(lineno, f"negative capacity {cap_token}")
+                raise NetworkParseError(
+                    lineno, f"negative capacity {echoed(cap_token, quoted=False)}"
+                )
             if len(digits) > most_digits:
                 raise NetworkParseError(lineno, f"capacity has more than {most_digits} digits")
             capacity = int(cap_token)  # most_digits is below any int() limit
             if tail == head:
-                raise NetworkParseError(lineno, f"self-loop on node {tail!r}")
+                raise NetworkParseError(lineno, f"self-loop on node {echoed(tail)}")
             edges.append(Edge(len(edges), tail, head, capacity))
         else:
             source, sink = parts[1], parts[2]
@@ -344,7 +392,10 @@ def reference_cut(net: Network, flows, s: str) -> Cut:
                 side.add(e.tail)
                 queue.append(e.tail)
     cut_edges = tuple(e for e in net.edges if e.tail in side and e.head not in side)
-    return Cut(frozenset(side), cut_edges, sum(e.capacity for e in cut_edges))
+    # The cut keeps its smaller side; at an even split, the source side.
+    side_is_source = 2 * len(side) <= len(net.nodes)
+    kept = tuple(v for v in net.nodes if (v in side) == side_is_source)
+    return Cut(net.nodes, kept, side_is_source, cut_edges, sum(e.capacity for e in cut_edges))
 
 
 def reference_out_edges(net: Network) -> dict[str, tuple[Edge, ...]]:
@@ -535,6 +586,14 @@ class CountingDict(_Reads, dict):
     pass
 
 
+class CountingTuple(_Reads, tuple):
+    def __new__(cls, items):
+        return super().__new__(cls, items)
+
+    def __init__(self, items):
+        self.reads = 0
+
+
 def multicommodity_networks(rng, count, min_commodities=1):
     """`count` seeded networks with up to 12 commodities, alternating
     regular_network and random_network instances."""
@@ -595,6 +654,25 @@ def corrupt_assignment(net: Network, assignment, rng):
         per_commodity_value=values,
         total_value=total,
     )
+
+
+def misreference_assignment(net: Network, assignment, rng):
+    """A copy of `assignment` with zero to two edge_flow entries inserted at
+    seeded positions: a key naming an unknown commodity (0, K + 1 or
+    negative), an unknown edge (E, E + 7 or negative), or both, or a known
+    key with negative units."""
+    entries = list(assignment.edge_flow.items())
+    for _ in range(rng.randint(0, 2)):
+        commodity = rng.choice(net.commodities).index
+        eid = rng.randrange(len(net.edges))
+        kind = rng.randrange(4)
+        if kind in (0, 2):
+            commodity = rng.choice((0, len(net.commodities) + 1, -rng.randint(1, 3)))
+        if kind in (1, 2):
+            eid = rng.choice((len(net.edges), len(net.edges) + 7, -rng.randint(1, 3)))
+        units = -rng.randint(1, 5) if kind == 3 else rng.randint(0, 5)
+        entries.insert(rng.randint(0, len(entries)), ((commodity, eid), units))
+    return dataclasses.replace(assignment, edge_flow=dict(entries))
 
 
 def reference_validate_assignment(net: Network, assignment) -> list[str]:

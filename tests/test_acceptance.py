@@ -31,11 +31,13 @@ from helpers import (
     checked_term_sum,
     direct_inclusion_exclusion,
     random_network,
+    regular_network,
     render_network,
 )
 from mcflow import (
     Cut,
     Edge,
+    Network,
     build_tables,
     gap_report,
     greedy_solve,
@@ -173,10 +175,61 @@ def test_criterion_5_optimality_gap(tmp_path):
     )
 
 
+def _pipeline_summary(net):
+    """What the pipeline makes of `net`, split in two: what must not change
+    when every capacity is multiplied by the same factor (paths, cuts,
+    color counts, shipment order, discards) and the integers that must be
+    multiplied by it (flows, bottlenecks, cut capacities, shipped amounts,
+    totals and both bounds), in a fixed order."""
+    tables = build_tables(net)
+    assignment = greedy_solve(tables)
+    bounds = upper_bounds(tables)
+    same: list = [tables.path_color_count, [p.label for p in assignment.discarded]]
+    scaled: list[int] = []
+    for flow in tables.flows:
+        cut = flow.min_cut
+        same += [list(flow.edge_flow), [(p.label, p.edges) for p in flow.paths]]
+        same += [[e.id for e in cut.cut_edges], cut.side, cut.side_is_source, cut.source_side]
+        scaled += [flow.value, *flow.edge_flow.values(), *(p.bottleneck for p in flow.paths)]
+        scaled.append(cut.capacity)
+    same += [[(p.label, p.edges) for p, _ in assignment.shipments], list(assignment.edge_flow)]
+    scaled += [amount for _, amount in assignment.shipments]
+    scaled += [*assignment.edge_flow.values(), *assignment.per_commodity_value.values()]
+    scaled += [assignment.total_value, bounds.individual_total, bounds.inclusion_exclusion]
+    return same, scaled
+
+
+def _scale_capacities(net, factor):
+    edges = tuple(Edge(e.id, e.tail, e.head, factor * e.capacity) for e in net.edges)
+    return Network(net.nodes, edges, net.commodities)
+
+
+@pytest.mark.parametrize("corpus", ["criterion_5", "large_solve"])
+def test_capacity_scaling_is_metamorphic(corpus):
+    # Scaling every capacity by c scales every residual by c, so each search
+    # sees the same arcs and every choice the pipeline makes is the same.
+    if corpus == "criterion_5":
+        nets = _multicommodity_corpus()
+    else:
+        nets = [regular_network(random.Random(seed), 600, 4, 16) for seed in (1, 2, 3)]
+    routed = 0
+    for net in nets:
+        same, scaled = _pipeline_summary(net)
+        routed += any(scaled)
+        for factor in (2, 7):
+            assert _pipeline_summary(_scale_capacities(net, factor)) == (
+                same,
+                [factor * value for value in scaled],
+            )
+    assert routed > len(nets) * 3 // 4
+
+
 def test_criterion_6_bound_arithmetic():
     def cut_of(edges):
         return Cut(
-            source_side=frozenset({"s"}),
+            nodes=("s", "u", "v"),
+            side=("s",),
+            side_is_source=True,
             cut_edges=tuple(edges),
             capacity=sum(e.capacity for e in edges),
         )

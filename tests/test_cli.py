@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mcflow.cli
-from helpers import random_network, regular_network, render_network
+from helpers import LONG_TOKEN_CASES, random_network, regular_network, render_network
 from mcflow import (
     build_tables,
     greedy_solve,
@@ -568,6 +568,15 @@ class TestExitCodesAndInput:
         assert (code, out) == (2, "")
         assert "line 2" in err and "unprintable" in err
 
+    @pytest.mark.parametrize("case", range(len(LONG_TOKEN_CASES)))
+    def test_long_token_gives_one_short_diagnostic(self, capsys, tmp_path, case):
+        text, line, reason = LONG_TOKEN_CASES[case]
+        target = tmp_path / "long.net"
+        target.write_text(text, encoding="utf-8")
+        code, out, err = invoke(capsys, ["solve", str(target)])
+        assert (code, out, err) == (2, "", f"error: line {line}: {reason}\n")
+        assert len(err.encode("utf-8")) < 160
+
     def test_undecodable_file_exits_2(self, capsys, tmp_path):
         target = tmp_path / "latin1.net"
         target.write_bytes(b"node a\xff\nnode b\nedge a b 1\ncommodity a b\n")
@@ -733,6 +742,43 @@ class TestEntryPoints:
             preexec_fn=lambda: os.close(closed),
         )
         assert (proc.returncode, proc.stderr) == expected
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["solve", "bound", "export", "validate"])
+    def test_failed_write_exits_2(self, command):
+        # /dev/full takes the open but fails every write with ENOSPC.
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mcflow", command, GOLDEN],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                env=_module_env(),
+                timeout=60,
+            )
+        assert proc.returncode == 2
+        no_space = b"[Errno 28] No space left on device"
+        assert proc.stderr == b"error: cannot write the report: " + no_space + b"\n"
+
+    @pytest.mark.parametrize("when", ["at start", "after start"])
+    def test_closed_standard_error(self, tmp_path, when):
+        # Closed before Python starts, descriptor 2 leaves sys.stderr None;
+        # closed after, sys.stderr stays and each write fails with EBADF.
+        # Either way the diagnostic is lost, never printed to stdout.
+        target = tmp_path / "twice.net"
+        target.write_text("node s\nnode s\n", encoding="utf-8")
+        argv = ["validate", str(target)]
+        if when == "at start":
+            command = [sys.executable, "-m", "mcflow", *argv]
+            close = lambda: os.close(2)  # noqa: E731
+        else:
+            script = "import os, sys\nos.close(2)\nfrom mcflow.cli import main\n"
+            script += f"sys.exit(main({argv!r}))\n"
+            command = [sys.executable, "-c", script]
+            close = None
+        proc = subprocess.run(
+            command, capture_output=True, env=_module_env(), timeout=60, preexec_fn=close
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"")
 
     def test_reader_closing_early_exits_cleanly(self, capsys, tmp_path):
         # `mcflow tables big.net | head -1`: the report is larger than a

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from helpers import (
     CountingDict,
+    CountingTuple,
     checked_term_sum,
     corrupt_assignment,
     direct_inclusion_exclusion,
     full_scan_greedy,
+    misreference_assignment,
     multicommodity_networks,
     networks,
     random_network,
@@ -164,18 +166,21 @@ class TestGreedyMatchesFullScan:
         assert self.assert_matches(net) > 100
 
 
+def _with_idle_ring(core, size=3000):
+    """`core` plus a ring of `size` new nodes and edges that no commodity can use."""
+    names = tuple(f"z{i}" for i in range(size))
+    ring = tuple(
+        Edge(len(core.edges) + i, names[i], names[(i + 1) % size], 3) for i in range(size)
+    )
+    return Network(core.nodes + names, core.edges + ring, core.commodities)
+
+
 class TestGreedyReadBound:
     """greedy_solve reads the per-edge path lists only on the edges of the
     paths it ships or discards, however many edges no path uses."""
 
     def test_unused_edges_are_not_read(self):
-        core = regular_network(random.Random(5), 20, 3, 8)
-        size = 3000
-        names = tuple(f"z{i}" for i in range(size))
-        ring = tuple(
-            Edge(len(core.edges) + i, names[i], names[(i + 1) % size], 3) for i in range(size)
-        )
-        net = Network(core.nodes + names, core.edges + ring, core.commodities)
+        net = _with_idle_ring(regular_network(random.Random(5), 20, 3, 8))
         tables = build_tables(net)
         counting = CountingDict(tables.edge_paths)
         got = greedy_solve(dataclasses.replace(tables, edge_paths=counting))
@@ -261,10 +266,60 @@ class TestValidateAssignmentMatchesReference:
         assert with_violations > cases // 2
         assert several_commodities >= 500
 
+    @staticmethod
+    def outcome(check, net, assignment):
+        """The messages a checker returns, or the ValueError it raises."""
+        try:
+            return check(net, assignment)
+        except ValueError as error:
+            return ("ValueError", str(error))
+
+    def test_seeded_bad_references(self):
+        # The reference checks every reference before anything else;
+        # validate_assignment checks each in its one pass, so it must raise
+        # at the same first bad entry, commodity before edge.
+        rng = random.Random(2626)
+        outcomes = {"commodity": 0, "edge": 0, "messages": 0}
+        for net in multicommodity_networks(rng, 120):
+            clean = greedy_solve(build_tables(net))
+            for _ in range(20):
+                a = misreference_assignment(net, corrupt_assignment(net, clean, rng), rng)
+                expected = self.outcome(reference_validate_assignment, net, a)
+                assert self.outcome(validate_assignment, net, a) == expected
+                if isinstance(expected, tuple):
+                    outcomes["commodity" if "commodity" in expected[1] else "edge"] += 1
+                else:
+                    outcomes["messages"] += 1
+        assert min(outcomes.values()) >= 400, outcomes
+
+
+class TestValidateAssignmentReadBound:
+    """validate_assignment reads only the edges the flow touches, however
+    many edges carry nothing: it costs O(K + flow entries), not O(E)."""
+
+    def test_idle_edges_are_not_read(self):
+        net = _with_idle_ring(regular_network(random.Random(7), 20, 3, 8))
+        clean = greedy_solve(build_tables(net))
+        broken = dataclasses.replace(clean, total_value=clean.total_value + 1)
+        expected = reference_validate_assignment(net, broken)
+        assert len(expected) == 2
+        touched = {eid for _, eid in clean.edge_flow}
+        assert 0 < len(touched) <= len(clean.edge_flow) < len(net.edges) / 20
+        edges, nodes = CountingTuple(net.edges), CountingTuple(net.nodes)
+        object.__setattr__(net, "edges", edges)
+        object.__setattr__(net, "nodes", nodes)
+        for assignment, messages in ((clean, []), (broken, expected)):
+            edges.reads = nodes.reads = 0
+            assert validate_assignment(net, assignment) == messages
+            # Each entry's edge, then each touched edge's capacity, once.
+            assert (edges.reads, nodes.reads) == (len(clean.edge_flow) + len(touched), 0)
+
 
 def _cut(edges):
     return Cut(
-        source_side=frozenset({"s"}),
+        nodes=("s", "t"),
+        side=("s",),
+        side_is_source=True,
         cut_edges=tuple(edges),
         capacity=sum(e.capacity for e in edges),
     )

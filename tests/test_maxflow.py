@@ -606,6 +606,7 @@ class TestSmallerSideCut:
         )
         cut = self.assert_cut_matches_reference(net, True)
         assert cut.source_side == frozenset({"s", "a"})
+        assert (cut.side, cut.side_is_source) == (("s", "a"), True)
         assert [e.id for e in cut.cut_edges] == [0, 3, 6]
         assert cut.capacity == 5
 
@@ -619,6 +620,8 @@ class TestSmallerSideCut:
         )
         cut = self.assert_cut_matches_reference(net, False)
         assert cut.source_side == frozenset({"s", "a", "b", "c", "d"})
+        # Only the sink side is kept, in declaration order.
+        assert (cut.side, cut.side_is_source) == (("t", "e"), False)
         assert [e.id for e in cut.cut_edges] == [0, 6, 8, 9]
         assert cut.capacity == 5
 

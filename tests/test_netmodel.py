@@ -10,7 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    LONG_TOKEN_CASES,
     corrupt_assignment,
+    echoed,
     multicommodity_networks,
     networks,
     random_network,
@@ -175,7 +177,7 @@ class TestParse:
         finally:
             sys.set_int_max_str_digits(saved)
         if sign:
-            assert outcome == (3, f"negative capacity {capacity}")
+            assert outcome == (3, f"negative capacity {echoed(capacity, quoted=False)}")
         elif digits > most:
             assert outcome == (3, f"capacity has more than {most} digits")
         else:
@@ -290,6 +292,16 @@ def _mutated_texts(rng, count):
             _mutate(rng, lines)
         text = "".join(line + rng.choice(_LINE_BREAKS) for line in lines)
         yield ("\ufeff" if rng.random() < 0.05 else "") + text
+
+
+class TestLongTokensAreClipped:
+    """A diagnostic echoes at most 64 characters of a token, then its length."""
+
+    @pytest.mark.parametrize("text, line, reason", LONG_TOKEN_CASES)
+    def test_reason(self, text, line, reason):
+        assert _outcome(parse_network, text) == (line, reason)
+        assert _outcome(reference_parse_network, text) == (line, reason)
+        assert len(reason.encode("utf-8")) < 140
 
 
 class TestParseMatchesReference:
