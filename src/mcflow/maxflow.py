@@ -63,10 +63,13 @@ class Cut:
     capacity: int
 
     @property
-    def source_side(self) -> frozenset[str]:
-        """The source side's node names, built on each call."""
-        side = frozenset(self.side)
-        return side if self.side_is_source else frozenset(self.nodes) - side
+    def source_side(self) -> tuple[str, ...]:
+        """The source side's node names in `nodes` order: `side` itself, or
+        else the nodes outside it, built on each call."""
+        if self.side_is_source:
+            return self.side
+        sink_side = set(self.side)
+        return tuple(v for v in self.nodes if v not in sink_side)
 
 
 @dataclass(frozen=True, slots=True)

@@ -744,12 +744,31 @@ class TestEntryPoints:
         assert (proc.returncode, proc.stderr) == expected
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize("command", ["solve", "bound", "export", "validate"])
-    def test_failed_write_exits_2(self, command):
-        # /dev/full takes the open but fails every write with ENOSPC.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", GOLDEN],
+            ["bound", GOLDEN],
+            ["export", GOLDEN],
+            ["validate", GOLDEN],
+            ["tables", GOLDEN],
+            ["maxflow", GOLDEN, "--commodity", "1"],
+            ["oracle", GOLDEN],
+            ["gap", GOLDEN],
+            ["--help"],
+            ["solve", "--help"],
+        ],
+        ids=[
+            "solve", "bound", "export", "validate", "tables", "maxflow", "oracle", "gap",
+            "help", "solve-help",
+        ],
+    )
+    def test_failed_write_exits_2(self, argv):
+        # /dev/full takes the open but fails every write with ENOSPC; help
+        # text too, which argparse would otherwise drop without a word.
         with open("/dev/full", "wb") as full:
             proc = subprocess.run(
-                [sys.executable, "-m", "mcflow", command, GOLDEN],
+                [sys.executable, "-m", "mcflow", *argv],
                 stdout=full,
                 stderr=subprocess.PIPE,
                 env=_module_env(),
