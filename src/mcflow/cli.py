@@ -206,20 +206,17 @@ def _cmd_bound(net: Network, args: argparse.Namespace, human: bool) -> tuple[int
     cuts = [flow.min_cut for flow in tables.flows]
     write = sys.stdout.write  # one call per line, and there are about 2^K
     if human:
+        sep, cut_line, term_line, term_sep = ": ", "  commodity ", "  {", "}: "
         write("cut capacities:\n")
-        for index, cut in enumerate(cuts, start=1):
-            write(f"  commodity {index}: {cut.capacity}\n")
-        if len(cuts) >= 2:
-            write("intersection terms:\n")
-        for subset, value in intersection_terms(cuts):
-            write(f"  {{{','.join(map(str, subset))}}}: {value}\n")
-        write(f"bound: {upper_bounds(tables).inclusion_exclusion}\n")
     else:
-        for index, cut in enumerate(cuts, start=1):
-            write(f"cut_sum\t{index}\t{cut.capacity}\n")
-        for subset, value in intersection_terms(cuts):
-            write(f"intersection\t{','.join(map(str, subset))}\t{value}\n")
-        write(f"bound\t{upper_bounds(tables).inclusion_exclusion}\n")
+        sep, cut_line, term_line, term_sep = "\t", "cut_sum\t", "intersection\t", "\t"
+    for index, cut in enumerate(cuts, start=1):
+        write(f"{cut_line}{index}{sep}{cut.capacity}\n")
+    if human and len(cuts) >= 2:
+        write("intersection terms:\n")
+    for subset, value in intersection_terms(cuts):
+        write(f"{term_line}{','.join(map(str, subset))}{term_sep}{value}\n")
+    write(f"bound{sep}{upper_bounds(tables).inclusion_exclusion}\n")
     return 0, []
 
 

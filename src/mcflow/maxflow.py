@@ -13,9 +13,9 @@ flows and min cut.
 The search that finds the sink out of reach labels the source side of the
 canonical min cut, read and kept on its smaller side.  max_flow then
 hands a copy of its flows, kept only for edges that carry flow, and
-those labels to decompose_cut_paths, which cancels any flow cycles and
-peels simple source-sink paths, lowest edge id first; each path crosses
-that cut exactly once.  Both cost O(support), not O(V + E).
+that cut to decompose_cut_paths, which cancels any flow cycles and peels
+simple source-sink paths, lowest edge id first; each path uses exactly
+one of the cut's edges.  Both cost O(support), not O(V + E).
 """
 
 from __future__ import annotations
@@ -94,10 +94,10 @@ def _search(
 
     When the sides meet, at depth f from s and b from t, the shortest s-t
     path has D = f + b hops.  Returns (dist, None): the hop distance to t
-    of the nodes labeled from t and of every node on a shortest path, -1
-    elsewhere.  A sweep over levels f - 1 down to 0 labels the latter: a
-    node k hops from s is D - k from t exactly when an arc leads from it
-    to a node labeled D - k - 1.
+    of the nodes labeled from t, D - k for each node k < f hops from s,
+    and -1 elsewhere.  A node on a shortest path is labeled with its
+    distance to t, and a path whose labels fall by one per arc has D arcs,
+    so those paths are exactly the shortest ones.
 
     When t is out of reach, returns (depth, levels): levels[k] lists the
     nodes k hops from s, together the source side of the canonical min
@@ -132,18 +132,12 @@ def _search(
             break
     else:
         return depth, levels
-    # Level f is not swept: its nodes on shortest paths are b hops from t
-    # and labeled already, and for b = 0 the test below would match every
-    # unlabeled node.
+    # Level f keeps t's labels: for b = 0, labeling it would give every
+    # node on it t's label 0.
     f = len(levels) - 1
-    for k in range(f - 1, -1, -1):
-        nearer = f + b - k - 1
+    for k in range(f):
         for v in levels[k]:
-            if dist[v] < 0:
-                for a, w in out[v]:
-                    if res[a] > 0 and dist[w] == nearer:
-                        dist[v] = nearer + 1
-                        break
+            dist[v] = f + b - k
     return dist, None
 
 
@@ -169,13 +163,13 @@ def max_flow(net: Network, com: Commodity) -> FlowState:
     ValueError for a commodity the network does not declare.
 
     The augmenting paths are Edmonds-Karp's, found in phases.  Each phase
-    labels the nodes on shortest s-t paths with their distance to t
-    (_search), then walks from s along the first arc in `out` order that
-    has residual capacity and leads one step nearer to t, pushing each
-    path's bottleneck before looking for the next; the first path it
-    completes is the one a fresh forward search would pick.  Each node
-    keeps a pointer to its current arc, and a node with none left is a
-    dead end for the phase.  Phases repeat until t is out of reach.
+    labels the nodes by level (_search), then walks from s along the
+    first arc in `out` order that has residual capacity and leads one
+    label lower, pushing each path's bottleneck before looking for the
+    next; the first path it completes is the one a fresh forward search
+    would pick.  Each node keeps a pointer to its current arc, and a node
+    with none left is a dead end for the phase (Dinic's pruning).  Phases
+    repeat until t is out of reach.
     """
     if not (0 < com.index <= len(net.commodities) and net.commodities[com.index - 1] == com):
         raise ValueError(f"{com} is not declared by the network")
@@ -194,11 +188,11 @@ def max_flow(net: Network, com: Commodity) -> FlowState:
         dist, levels = _search(out, res, si, ti)
         if levels is not None:  # t is out of reach; dist holds depths from s
             break
-        # The walk visits only nodes on shortest paths, which all carry
-        # their exact distance, so it steps as if every node were labeled.
-        # The labels stay exact for the whole phase: augmenting only adds
-        # arcs leading away from t, so the arcs one step nearer to t only
-        # lose capacity, and a node's current arc and a dead end stay put.
+        # Every walk down the labels is a shortest path, and every shortest
+        # path is one.  That holds for the whole phase: augmenting only adds
+        # arcs leading up the labels, so the arcs one label lower only lose
+        # capacity, and a node's current arc and a dead end stay put.  So
+        # the walk enters a node on no shortest path at most once a phase.
         current = [0] * len(out)
         path: list[int] = []  # arcs from s; path[i] leaves nodes[i]
         nodes = [si]
@@ -243,7 +237,7 @@ def max_flow(net: Network, com: Commodity) -> FlowState:
     # Only the edges pushed on can carry flow, and only those that do are
     # kept; arc a | 1's residual is the flow on arc a's edge.
     flows = {a >> 1: f for a in sorted(pushed) if (f := res[a | 1])}
-    paths = decompose_cut_paths(net, com, dict(flows), dist, value)
+    paths = decompose_cut_paths(net, com, dict(flows), cut)
     return FlowState(flows, value, cut, paths)
 
 
@@ -260,10 +254,11 @@ def _cancel_flow_cycles(net: Network, flows: dict[int, int]) -> dict[int, list[t
     zero; the first edge into a node on the current trail closes a cycle,
     whose smallest flow is cancelled before the search starts again.
     """
-    tail = net.arcs.tail
+    index, edges = net.arcs.index, net.edges
     positive: dict[int, list[tuple[int, int]]] = {}
     for eid in reversed(flows):
-        positive.setdefault(tail[2 * eid], []).append((eid, tail[2 * eid + 1]))
+        edge = edges[eid]
+        positive.setdefault(index[edge.tail], []).append((eid, index[edge.head]))
     while True:
         state: dict[int, int] = {}  # 1 on the trail, 2 done; unvisited nodes are absent
         cycle: list[int] | None = None
@@ -302,18 +297,18 @@ def _cancel_flow_cycles(net: Network, flows: dict[int, int]) -> dict[int, list[t
 
 # Module-level under this name because perfbench/spans.py times it and counts its paths.
 def decompose_cut_paths(
-    net: Network, com: Commodity, flows: dict[int, int], depth: list[int], value: int
+    net: Network, com: Commodity, flows: dict[int, int], cut: Cut
 ) -> tuple[ColoredPath, ...]:
     """Peel `flows`, a copy of max_flow's edge flows, into simple paths of `com`, zeroing it.
 
-    `depth` is -1 exactly outside the min cut's source side, as the last
-    search left it.  Deterministic: flow cycles are cancelled first, then
-    the walk following the lowest-id positive-flow edge out of each node is
-    peeled by its bottleneck, repeatedly, until the source has no positive
-    out-flow.
+    Deterministic: flow cycles are cancelled first, then the walk following
+    the lowest-id positive-flow edge out of each node is peeled by its
+    bottleneck, repeatedly, until the source has no positive out-flow.
+    Each path must use exactly one edge of the flow's min cut `cut`, and
+    the amounts must sum to its capacity.
     """
     s, t = net.arcs.index[com.source], net.arcs.index[com.sink]
-    tail = net.arcs.tail
+    crossing = {e.id for e in cut.cut_edges}
     positive = _cancel_flow_cycles(net, flows)
 
     def next_edge(v: int) -> tuple[int, int] | None:
@@ -340,8 +335,7 @@ def decompose_cut_paths(
             flows[eid] -= amount
         peeled += amount
         assert len(set(visited)) == len(visited), "peeled path is not simple"
-        crossed = sum(depth[tail[2 * e]] >= 0 and depth[tail[2 * e + 1]] < 0 for e in walk)
-        assert crossed == 1, "path must cross the min cut exactly once"
+        assert sum(e in crossing for e in walk) == 1, "path must cross the min cut exactly once"
         paths.append(ColoredPath(com.index, len(paths) + 1, tuple(walk), amount))
-    assert peeled == value, "decomposition amounts must sum to the flow value"
+    assert peeled == cut.capacity, "decomposition amounts must sum to the cut capacity"
     return tuple(paths)

@@ -72,14 +72,14 @@ class _Arcs(NamedTuple):
     backward, so `a ^ 1` is an arc's reverse.  `index` numbers the nodes
     in declaration order; `out[v]` lists the arcs leaving node v as
     (arc, other end): its forward arcs first, then its backward arcs, each
-    group in edge-id order, which is the search tie-break.  `tail[a]` is
-    the node arc a leaves; `capacity[e]` is edge e's capacity.
+    group in edge-id order, which is the search tie-break.  `capacity[e]`
+    is edge e's capacity.
     """
 
     index: dict[str, int]
-    # Pairs: bare arcs that look up tail[a ^ 1] measured 3 % slower on large_solve.
+    # Pairs: bare arcs that look their other end up in a per-arc array
+    # measured 3 % slower on large_solve.
     out: tuple[tuple[tuple[int, int], ...], ...]
-    tail: tuple[int, ...]
     capacity: tuple[int, ...]
 
 
@@ -115,12 +115,9 @@ class Network:
             out[u].append(forward)
         for w, backward in zip(heads, zip(count(1, 2), tails)):
             out[w].append(backward)
-        tail = tails + heads
-        tail[0::2], tail[1::2] = tails, heads
         return _Arcs(
             index,
             tuple(map(tuple, out)),
-            tuple(tail),
             tuple([edge.capacity for edge in self.edges]),
         )
 

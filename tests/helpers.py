@@ -34,7 +34,6 @@ from mcflow.netmodel import (
     _DIRECTIVE_ARITY,
     _MAX_CAPACITY_DIGITS,
     _Arcs,
-    _check_references,
     _commodity_color,
     _dot_quote,
 )
@@ -192,16 +191,13 @@ def reference_arcs(net: Network) -> _Arcs:
     index = {name: number for number, name in enumerate(net.nodes)}
     out: list[list[tuple[int, int]]] = [[] for _ in net.nodes]
     back: list[list[tuple[int, int]]] = [[] for _ in net.nodes]
-    tail: list[int] = []
     for edge in net.edges:
         u, w = index[edge.tail], index[edge.head]
         out[u].append((2 * edge.id, w))
         back[w].append((2 * edge.id + 1, u))
-        tail += (u, w)
     return _Arcs(
         index,
         tuple(tuple(fwd + bwd) for fwd, bwd in zip(out, back)),
-        tuple(tail),
         tuple(edge.capacity for edge in net.edges),
     )
 
@@ -675,11 +671,24 @@ def misreference_assignment(net: Network, assignment, rng):
     return dataclasses.replace(assignment, edge_flow=dict(entries))
 
 
+def reference_check_references(net: Network, assignment) -> None:
+    """ValueError, worded as the package words it, for the first
+    edge_flow key that names a commodity index or an edge id the network
+    does not have; the commodity is checked before the edge."""
+    commodities = {com.index for com in net.commodities}
+    edge_ids = {edge.id for edge in net.edges}
+    for commodity_index, eid in assignment.edge_flow:
+        if commodity_index not in commodities:
+            raise ValueError(f"assignment references unknown commodity {commodity_index}")
+        if eid not in edge_ids:
+            raise ValueError(f"assignment references unknown edge {eid}")
+
+
 def reference_validate_assignment(net: Network, assignment) -> list[str]:
     """The conservation check validate_assignment replaced, kept unchanged
     as its reference: every (commodity, node) pair is visited, with inflow
     and outflow summed separately.  Costs O(K*V + E + flow entries)."""
-    _check_references(net, assignment)
+    reference_check_references(net, assignment)
     violations: list[str] = []
     used = [0] * len(net.edges)
     inflow: dict[tuple[int, str], int] = {}
@@ -737,7 +746,7 @@ def reference_export_dot(net: Network, assignment) -> str:
     """The DOT export with an assignment as export_dot wrote it before it
     grouped edge_flow by edge, kept as its reference: each edge's total and
     carriers are looked up per (commodity, edge), in commodity order."""
-    _check_references(net, assignment)
+    reference_check_references(net, assignment)
     lines = ["digraph network {", "  rankdir=LR;", "  node [shape=circle, fontsize=11];"]
     for com in net.commodities:
         lines.append(

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from helpers import (
     CountingDict,
     CountingList,
+    CountingTuple,
     add_circulations,
     brute_force_min_cut,
     dense_flow,
@@ -237,8 +238,9 @@ class TestMatchesReference:
 
     def test_sides_meet_on_a_forward_level_past_the_sink(self):
         # {s}, {a}, {b, c} from s, then t's five in-neighbours, then {d}
-        # from s: met at forward depth 3, backward depth 1.  The sweep
-        # labels b, c, a and s, and one phase carries both paths.
+        # from s: met at forward depth 3, backward depth 1.  Levels 0-2
+        # take labels 4 down to 2 (s, a, then b and c), and one phase
+        # carries both paths.
         net = _network(
             "s a b c d t x1 x2 x3 x4",
             ["s a 2", "a b 1", "a c 1", "b d 1", "c d 1", "d t 2"]
@@ -249,12 +251,26 @@ class TestMatchesReference:
 
     def test_sides_meet_on_a_backward_level(self):
         # {s}, then s's five out-neighbours; {b} and {a} from t: met at
-        # backward depth 2, and only s is left to the sweep.  After the
-        # flow, t's side runs dry first and s's side finishes alone.
+        # backward depth 2, and only s is labeled from its depth.  After
+        # the flow, t's side runs dry first and s's side finishes alone.
         net = _network(
             "s x1 x2 x3 x4 a b t",
             [f"s x{i} 1" for i in range(1, 5)] + ["s a 2", "a b 2", "b t 2"],
         )
+        assert_matches_reference(net)
+
+    def test_walk_backs_out_of_a_labeled_dead_end(self):
+        # {s}, {x, a} from s, {c, y1, y2} from t, then {b} and {c} from s:
+        # met at forward depth 3, so D = 4.  x is labeled 3 from its depth
+        # though no arc leaves it, so the walk enters x first, finds it a
+        # dead end and backs out to take s-a-b-c-t.
+        net = _network(
+            "s x a b c t y1 y2",
+            ["s x 1", "s a 1", "a b 1", "b c 1", "c t 1", "y1 t 1", "y2 t 1"],
+        )
+        res = [0] * (2 * len(net.edges))
+        res[0::2] = net.arcs.capacity
+        assert maxflow._search(net.arcs.out, res, 0, 5) == ([4, 3, 3, 2, 1, 0, 1, 1], None)
         assert_matches_reference(net)
 
     def test_source_side_runs_dry_first(self):
@@ -286,8 +302,8 @@ class TestMatchesReference:
     def test_lopsided_fan_out_and_chain(self):
         # Two levels of fan-out at s (2, then 8 nodes) and a six-node chain
         # into t with one shortcut: the phases meet on a backward level
-        # and on forward levels, the sweep labels three nodes in the first
-        # phase, and the last search ends with t's side dry.
+        # and on forward levels, the first phase labels three nodes from
+        # their depth, and the last search ends with t's side dry.
         xs = [f"x{i}" for i in range(8)]
         net = _network(
             "s p0 p1 " + " ".join(xs) + " c0 c1 c2 c3 c4 c5 t",
@@ -455,6 +471,28 @@ class TestDecomposeCutPaths:
         paths = f.paths
         assert sum(p.bottleneck for p in paths) == f.value
         assert [p.ordinal for p in paths] == list(range(1, len(paths) + 1))
+
+
+class TestDecompositionChecksItsCut:
+    """The decomposition checks its paths against the min cut it is given:
+    each path uses exactly one cut edge, and the amounts sum to the cut's
+    capacity."""
+
+    def test_doctored_cut_is_rejected(self):
+        net = _network("s a b t", ["s a 2", "a b 1", "b t 2", "s b 1"])
+        com = net.commodity(1)
+        f = max_flow(net, com)
+        assert [e.id for e in f.min_cut.cut_edges] == [1, 3]
+        doctored = [
+            (net.edges[:3], 4, "exactly once"),  # s-a-b-t crosses s->a, a->b and b->t
+            ((), 2, "exactly once"),  # crossed by no path
+            (f.min_cut.cut_edges, 3, "sum to the cut capacity"),
+        ]
+        for cut_edges, capacity, message in doctored:
+            cut = dataclasses.replace(f.min_cut, cut_edges=cut_edges, capacity=capacity)
+            with pytest.raises(AssertionError, match=message):
+                maxflow.decompose_cut_paths(net, com, dict(f.edge_flow), cut)
+        assert maxflow.decompose_cut_paths(net, com, dict(f.edge_flow), f.min_cut) == f.paths
 
 
 class TestDecompositionMatchesReference:
@@ -662,18 +700,25 @@ class TestSupportBound:
         expected = reference_max_flow(net, net.commodity(1))
         assert reference_find_flow_cycle(net, dense_flow(net, expected.edge_flow)) is not None
 
+        # Every read the decomposition makes is counted: the flows, the
+        # cut, the network's edges and its arcs.
+        edges = CountingTuple(net.edges)
+        net = Network(net.nodes, edges, net.commodities)
         arcs = net.arcs
-        tail, out = CountingList(arcs.tail), CountingList(arcs.out)
-        net.__dict__["arcs"] = arcs._replace(tail=tail, out=out)
+        index, out = CountingDict(arcs.index), CountingList(arcs.out)
+        net.__dict__["arcs"] = arcs._replace(index=index, out=out)
         decompose = maxflow.decompose_cut_paths
         counted = {}
 
-        def counting(net, com, flows, depth, value):
-            flows, depth = CountingDict(flows), CountingList(depth)
-            before = tail.reads + out.reads
-            paths = decompose(net, com, flows, depth, value)
+        def counting(net, com, flows, cut):
+            flows = CountingDict(flows)
+            cut = dataclasses.replace(cut, cut_edges=CountingTuple(cut.cut_edges))
+            before = edges.reads + index.reads + out.reads
+            paths = decompose(net, com, flows, cut)
             counted["support"] = len(flows)
-            counted["reads"] = flows.reads + depth.reads + tail.reads + out.reads - before
+            counted["reads"] = (
+                flows.reads + cut.cut_edges.reads + edges.reads + index.reads + out.reads - before
+            )
             return paths
 
         monkeypatch.setattr(maxflow, "decompose_cut_paths", counting)

@@ -13,6 +13,7 @@ from helpers import (
     LONG_TOKEN_CASES,
     corrupt_assignment,
     echoed,
+    misreference_assignment,
     multicommodity_networks,
     networks,
     random_network,
@@ -570,3 +571,22 @@ class TestExportDot:
             clean = greedy_solve(build_tables(net))
             for a in [clean] + [corrupt_assignment(net, clean, rng) for _ in range(10)]:
                 assert export_dot(net, a) == reference_export_dot(net, a)
+
+    def test_bad_references_raise_like_reference(self):
+        # The reference checks references on its own, so a fault in
+        # export_dot's check shows here: same first bad entry, same message.
+        rng = random.Random(1332)
+        raised = 0
+        for net in multicommodity_networks(rng, 60, min_commodities=2):
+            clean = greedy_solve(build_tables(net))
+            for _ in range(10):
+                a = misreference_assignment(net, clean, rng)
+                outcomes = []
+                for export in (export_dot, reference_export_dot):
+                    try:
+                        outcomes.append(export(net, a))
+                    except ValueError as error:
+                        outcomes.append(("ValueError", str(error)))
+                assert outcomes[0] == outcomes[1]
+                raised += isinstance(outcomes[0], tuple)
+        assert raised >= 200
