@@ -5,17 +5,15 @@ The search space is every simple source-sink path of every commodity
 (enumerate_paths, which never enters a node the sink cannot be reached
 from, so it ends soon after the path limit), each carrying an integer
 amount bounded by the remaining capacity along it, read from the network.
-One iterative branch and bound explores the amount vectors, and runs
-twice.  Each pass prunes a node whose bound cannot reach a target value.
-The descending pass tries high amounts first and raises its target past
-every leaf it records, which pins the optimum quickly; the ascending pass
-targets that optimum, tries low amounts first and stops at the first leaf
-reaching it, the lexicographically smallest optimal vector, which is the
-canonical witness.  The search keeps an explicit stack with one amount
-iterator per path on the current prefix, so the catalog size is not bounded
-by the interpreter's recursion limit.  Both passes share one node budget;
-exhausting it (or the per-commodity path limit) flags the result truncated
-rather than guessing.
+One iterative branch and bound explores the amount vectors, high amounts
+first, and prunes a node whose bound cannot beat the best leaf recorded so
+far.  Leaves come in lexicographically decreasing order, so the first leaf
+of the optimal value is the lexicographically largest optimal vector,
+which is the canonical witness.  The search keeps an explicit stack with
+one amount iterator per path on the current prefix, so the catalog size is
+not bounded by the interpreter's recursion limit.  The node budget bounds
+that one search; exhausting it (or the per-commodity path limit) flags the
+result truncated rather than guessing.
 
 gap_report certifies before it searches.  The capacity of the union of the
 commodities' cut edges caps every feasible flow, so a feasible value that
@@ -55,7 +53,9 @@ class OracleLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Optimum with canonical witness; `paths` indexes the witness."""
+    """Optimum with canonical witness; `paths` indexes the witness.  If the
+    search ran past its node budget or the path limit, `optimum` is only a
+    lower bound and `truncated` is set."""
 
     optimum: int
     witness: tuple[int, ...]
@@ -137,8 +137,9 @@ def optimal_value(
     """Exact integral optimum over simple-path flows, within limits.
 
     Independent of path enumeration order: the optimum is a property of the
-    instance, and the witness is canonical (lexicographically smallest over
-    the enumerated paths).
+    instance, and the witness is canonical (lexicographically largest over
+    the enumerated paths).  `max_candidates` bounds the nodes of the one
+    search that proves the optimum and finds the witness.
     """
     try:
         paths = tuple(
@@ -154,62 +155,46 @@ def optimal_value(
     for k in range(m - 1, -1, -1):
         static_suffix[k] = static_suffix[k + 1] + paths[k].bottleneck
     amounts = [0] * m
+    best = 0
     best_vector = [0] * m
     explored = 0
-    target = 1  # the value a leaf must reach; the descending pass raises it
-
-    def search(descending: bool) -> bool:
-        # Depth first over amount vectors; frames[k] yields the amounts
-        # still to try on path k, high to low when descending.  A node is
-        # pruned when the static suffix bound, or else the sum of the
-        # suffix paths' residual capacities, cannot reach `target`.  The
-        # descending pass records each leaf reaching `target` and raises
-        # `target` past it; the ascending pass stops at the first such leaf,
-        # leaving it in `amounts`, and returns True.  Both passes share the
-        # node budget: once it runs out, explored > max_candidates.
-        nonlocal explored, target, best_vector
-        frames: list[Iterator[int]] = []
-        current = 0
-        while True:
-            explored += 1
-            if explored > max_candidates:
-                return False
-            k = len(frames)
-            if k == m:
-                if current >= target:
-                    if not descending:
-                        return True
-                    best_vector = amounts.copy()
-                    target = current + 1
-            elif current + static_suffix[k] >= target:
-                caps = [min(residual[eid] for eid in path.edges) for path in paths[k:]]
-                if current + sum(caps) >= target:
-                    tries = range(caps[0] + 1)
-                    frames.append(reversed(tries) if descending else iter(tries))
-            # Step to the next node: the next amount on the deepest path
-            # that has one left; exhausted paths drop back to 0 on the way.
-            while frames:
-                k = len(frames) - 1
-                a = next(frames[k], None)
-                if a is None:
-                    frames.pop()
-                    a = 0
-                delta = a - amounts[k]
-                amounts[k] = a
-                current += delta
-                for eid in paths[k].edges:
-                    residual[eid] -= delta
-                if len(frames) > k:
-                    break
-            else:
-                return False
-
-    search(descending=True)
-    target -= 1  # the best value found; the ascending pass must reach it
-    if explored <= max_candidates and search(descending=False):
-        return OracleResult(target, tuple(amounts), explored, False, paths)
-    assert explored > max_candidates, "the optimum found descending must be recoverable"
-    return OracleResult(target, tuple(best_vector), explored, True, paths)
+    # Depth first over amount vectors; frames[k] yields the amounts still to
+    # try on path k, high to low.  A node is pruned when the static suffix
+    # bound, or else the sum of the suffix paths' residual capacities,
+    # cannot beat `best`; each leaf that beats it is recorded.  Once the
+    # budget runs out, explored > max_candidates.
+    frames: list[Iterator[int]] = []
+    current = 0
+    while True:
+        explored += 1
+        if explored > max_candidates:
+            break
+        k = len(frames)
+        if k == m:
+            if current > best:
+                best, best_vector = current, amounts.copy()
+        elif current + static_suffix[k] > best:
+            caps = [min(residual[eid] for eid in path.edges) for path in paths[k:]]
+            if current + sum(caps) > best:
+                frames.append(reversed(range(caps[0] + 1)))
+        # Step to the next node: the next amount on the deepest path that
+        # has one left; exhausted paths drop back to 0 on the way.
+        while frames:
+            k = len(frames) - 1
+            a = next(frames[k], None)
+            if a is None:
+                frames.pop()
+                a = 0
+            delta = a - amounts[k]
+            amounts[k] = a
+            current += delta
+            for eid in paths[k].edges:
+                residual[eid] -= delta
+            if len(frames) > k:
+                break
+        else:
+            break
+    return OracleResult(best, tuple(best_vector), explored, explored > max_candidates, paths)
 
 
 @dataclass(frozen=True)
@@ -237,11 +222,12 @@ def gap_report(
     commodity's flow crosses its own cut.  A value that is feasible and
     reaches that cap is therefore optimal: when the greedy total does, it
     is reported as the exact optimum and the oracle is not run.  Otherwise
-    the oracle searches.  A truncated search (or an overflowing path
-    catalog, where the oracle reports 0) only yields a lower bound, and the
-    feasible greedy total is one too, so the larger of the two is reported
-    and the gap is never negative; if that value reaches the cap, it is
-    exact after all and the report is not truncated.
+    the oracle searches, and the larger of its optimum and the greedy total
+    is reported, so the gap is never negative.  A finished search is never
+    below the greedy total, whose shipments are simple catalog paths.  A
+    truncated one (or an overflowing path catalog, where the oracle reports
+    0) only yields a lower bound; if the larger value reaches the cap, it
+    is exact after all and the report is not truncated.
     """
     tables = build_tables(net)
     bounds = upper_bounds(tables)
@@ -250,11 +236,8 @@ def gap_report(
     truncated = False
     if optimum < bounds.inclusion_exclusion:
         result = optimal_value(net, max_paths=max_paths, max_candidates=max_candidates)
-        if result.truncated:
-            optimum = max(result.optimum, optimum)
-            truncated = optimum < bounds.inclusion_exclusion
-        else:
-            optimum = result.optimum
+        optimum = max(result.optimum, optimum)
+        truncated = result.truncated and optimum < bounds.inclusion_exclusion
     return GapReport(
         assignment.total_value,
         optimum,

@@ -804,16 +804,16 @@ def reference_optimal_value(
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
     catalog: Sequence[ColoredPath] | None = None,
 ) -> OracleResult:
-    """The recursive two-pass branch and bound that optimal_value replaced,
-    kept unchanged as its reference: same visit order, prunes, budget and
-    result.  Recurses once per catalog path, so keep catalogs small.
+    """The recursive branch and bound that optimal_value replaced, kept as
+    its reference: same visit order, prunes, budget and result.  Recurses
+    once per catalog path, so keep catalogs small.
 
     Exact integral optimum over simple-path flows, within limits.
 
     Independent of path enumeration order: the optimum is a property of the
-    instance, and the witness is canonical (lexicographically smallest over
-    the catalog order used).  Pass `catalog` to restrict the search to a
-    known path set.
+    instance, and the witness is canonical (lexicographically largest over
+    the catalog order used: the first optimal leaf, high amounts first).
+    Pass `catalog` to restrict the search to a known path set.
     """
     if catalog is None:
         try:
@@ -871,44 +871,8 @@ def reference_optimal_value(
             if budget_hit:
                 return
 
-    def ascend(k: int, current: int) -> bool:
-        # First completion reaching best_value, in ascending amount order,
-        # is the lexicographically smallest optimal vector.
-        nonlocal explored, budget_hit
-        if budget_hit:
-            return False
-        explored += 1
-        if explored > max_candidates:
-            budget_hit = True
-            return False
-        if k == m:
-            return current == best_value
-        if current + static_suffix[k] < best_value:
-            return False
-        if current + remaining_bound(k) < best_value:
-            return False
-        for a in range(0, path_cap(k) + 1):
-            amounts[k] = a
-            for eid in paths[k].edges:
-                residual[eid] -= a
-            hit = ascend(k + 1, current + a)
-            for eid in paths[k].edges:
-                residual[eid] += a
-            if hit:
-                return True
-            amounts[k] = 0
-            if budget_hit:
-                return False
-        return False
-
     descend(0, 0)
-    if budget_hit:
-        return OracleResult(best_value, tuple(best_vector), explored, True, paths)
-    found = ascend(0, 0)
-    if budget_hit:
-        return OracleResult(best_value, tuple(best_vector), explored, True, paths)
-    assert found, "optimum witnessed in the first pass must be recoverable"
-    return OracleResult(best_value, tuple(amounts), explored, False, paths)
+    return OracleResult(best_value, tuple(best_vector), explored, budget_hit, paths)
 
 
 def flow_is_feasible(net: Network, edge_flow, s: str, t: str) -> bool:

@@ -159,7 +159,7 @@ def test_criterion_5_optimality_gap(tmp_path):
             target.write_text(render_network(net), encoding="utf-8")
             archived.append(target.name)
     assert usable > 0
-    assert truncated <= 11
+    assert truncated <= 9
     # The checked-in counterexamples are read-only fixtures: each must be
     # found again, byte for byte.
     for known in sorted(COUNTEREXAMPLES.glob("gap_*.net")):

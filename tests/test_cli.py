@@ -39,6 +39,15 @@ CRITERION_5_044 = (
     "commodity v1 v0\ncommodity v0 v1\ncommodity v0 v1\n"
 )
 
+# The byte contract's seeded input r04: the search proves its optimum in
+# 629 nodes.
+CONTRACT_R04 = (
+    "node v0\nnode v1\nnode v2\n"
+    "edge v0 v1 8\nedge v1 v2 6\nedge v2 v1 1\nedge v0 v1 6\nedge v0 v1 6\n"
+    "edge v0 v1 6\nedge v1 v0 5\nedge v0 v2 9\nedge v0 v2 0\n"
+    "commodity v2 v1\ncommodity v0 v2\ncommodity v0 v1\n"
+)
+
 
 def _module_env():
     """The environment for a child `python -m mcflow`: this package first."""
@@ -426,6 +435,18 @@ class TestGap:
         code, out, _ = invoke(capsys, ["oracle", str(target), "--max-candidates", "300000"])
         assert code == 3
         assert "truncated: true" in out
+
+    @pytest.mark.parametrize("command", ["oracle", "gap"])
+    def test_proof_within_budget_exits_0(self, capsys, tmp_path, command):
+        # The budget bounds only the search that proves the optimum, so a
+        # proof in 629 of 777 nodes is not truncated.
+        target = tmp_path / "r04.net"
+        target.write_text(CONTRACT_R04, encoding="utf-8")
+        argv = [command, str(target), "--max-candidates", "777", "--format", "structured"]
+        code, out, err = invoke(capsys, argv)
+        assert (code, err) == (0, "")
+        records = dict(line.split("\t", 1) for line in out.splitlines())
+        assert (records["optimum"], records["truncated"]) == ("36", "false")
 
 
 class TestDeepNetworks:

@@ -146,12 +146,14 @@ def test_export_takes_no_format(capsys):
 
 def _record(named: list[str]) -> None:
     """Rewrite the digests of the named subcommands, or of all when none is
-    named; every other line of the digest file keeps its bytes."""
+    named; every other line of the digest file keeps its bytes.  Prints the
+    name of every case whose digest changed."""
     unknown = sorted(set(named) - COMMANDS)
     if unknown:
         raise SystemExit(f"unknown subcommands {unknown}; known: {sorted(COMMANDS)}")
     rerun = set(named) or COMMANDS
-    keep = {case: d for case, d in recorded().items() if case.split(" ")[1] not in rerun}
+    before = recorded()
+    keep = {case: d for case, d in before.items() if case.split(" ")[1] not in rerun}
     with tempfile.TemporaryDirectory() as scratch:
         cases = compute(Path(scratch), keep)
     unrecorded = [c for c in cases if c.split(" ")[1] not in rerun and c not in keep]
@@ -161,8 +163,10 @@ def _record(named: list[str]) -> None:
             f"cases of subcommands not named changed: {len(unrecorded)} new"
             f" {unrecorded[:5]}, {len(dropped)} gone {dropped[:5]}; name them too"
         )
+    moved = [case for case, digest in cases.items() if before.get(case) != digest]
     DIGESTS.write_text("".join(f"{case} {digest}\n" for case, digest in cases.items()))
     print(f"recorded {len(cases) - len(keep)} of {len(cases)} cases in {DIGESTS}")
+    print(f"{len(moved)} cases moved:", *moved, sep="\n")
 
 
 if __name__ == "__main__":

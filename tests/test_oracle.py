@@ -140,9 +140,9 @@ class TestOptimalValue:
             permuted = "\n".join(rest_head + edges + rest_tail) + "\n"
             assert optimal_value(parse_network(permuted)).optimum == 25
 
-    def test_witness_is_lexicographically_smallest(self):
+    def test_witness_is_lexicographically_largest(self):
         # Two routes fight over one unit; the tie must resolve to the
-        # later path so earlier amounts stay minimal.
+        # earlier path, the first optimal leaf with high amounts first.
         net = parse_network(
             "node s\nnode a\nnode t\n"
             "edge s a 1\nedge a t 1\nedge s a 1\n"
@@ -151,7 +151,7 @@ class TestOptimalValue:
         result = optimal_value(net)
         assert [p.edges for p in result.paths] == [(0, 1), (2, 1)]
         assert result.optimum == 1
-        assert result.witness == (0, 1)
+        assert result.witness == (1, 0)
 
     def test_single_commodity_matches_max_flow(self):
         rng = random.Random(808)
@@ -235,14 +235,27 @@ class TestMatchesReference:
             assert not full.truncated
             assert optimal_value(net) == full
             nonzero += full.optimum > 0
-            # Budget 1 stops the descending pass at its root; one node short
-            # of the full count stops the ascending pass at its last node.
+            # Budget 1 stops the search after its root, unless the root is
+            # all of it; one node short of the full count stops it at its
+            # last node, which never records a leaf: the search ends only
+            # once every path is back at amount 0.
             for budget in (1, full.explored - 1):
                 result = optimal_value(net, max_candidates=budget)
                 assert result == reference_optimal_value(net, max_candidates=budget)
-                assert result.truncated
+                assert result.truncated == (budget < full.explored)
             assert result.optimum == full.optimum
         assert nonzero >= 120
+
+    def test_seeded_corpus_at_exactly_the_full_budget(self):
+        # The budget bounds only the search that proves the optimum, so a
+        # budget of exactly the reference's node count is enough.
+        rng = random.Random(5505)
+        for _ in range(200):
+            net = random_network(
+                rng, max_nodes=6, max_edges=10, max_cap=5, commodity_range=(2, 3)
+            )
+            full = reference_optimal_value(net)
+            assert optimal_value(net, max_candidates=full.explored) == full
 
 
 def capacity_catalog(net, paths):
