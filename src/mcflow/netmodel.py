@@ -142,9 +142,10 @@ _EDGE_SLOTS = tuple(Edge.__dict__[field.name].__set__ for field in fields(Edge))
 def parse_network(text: str) -> Network:
     """Parse network text; raises NetworkParseError with a line number.
 
-    A sound line passes a few cheap tests, and any other goes to
-    `_line_error` to be worded.  Those tests reject everything Network's
-    own check would, so accepted text never raises anything else.
+    Each test words its own fault where it fails, in the order directive
+    and arity, node name, endpoints, capacity, self-loop; a sound line runs
+    only the tests.  They reject everything Network's own check would, so
+    accepted text never raises anything else.
     """
     declared: dict[str, str] = {}  # each node name to itself, in declaration order
     tails: list[str] = []
@@ -159,25 +160,42 @@ def parse_network(text: str) -> Network:
         parts = line.split()
         if len(parts) == 4 and parts[0] == "edge":
             tail, head, capacity = declared.get(parts[1]), declared.get(parts[2]), parts[3]
-            if tail and head and tail is not head:
-                # isascii: int() would also take non-ASCII digits.
-                if capacity.isdigit() and capacity.isascii() and len(capacity) <= most_digits:
-                    tails.append(tail)
-                    heads.append(head)
-                    capacities.append(int(capacity))
-                    continue
+            if not (tail and head):
+                raise _undeclared(lineno, parts, declared)
+            # int() would also take "+5", "1_0" and non-ASCII digits.
+            if not (capacity.isdigit() and capacity.isascii()):
+                digits = capacity.removeprefix("-")
+                if digits.isdigit() and digits.isascii():
+                    raise NetworkParseError(lineno, f"negative capacity {_echo(capacity, str)}")
+                raise NetworkParseError(lineno, f"capacity {_echo(capacity)} is not an integer")
+            if len(capacity) > most_digits:
+                raise NetworkParseError(lineno, f"capacity has more than {most_digits} digits")
+            if tail is head:
+                raise NetworkParseError(lineno, f"self-loop on node {_echo(tail)}")
+            tails.append(tail)
+            heads.append(head)
+            capacities.append(int(capacity))
         elif len(parts) == 2 and parts[0] == "node":
-            if parts[1].isprintable() and parts[1] not in declared:
-                declared[parts[1]] = parts[1]
-                continue
+            name = parts[1]
+            if not name.isprintable():
+                raise NetworkParseError(lineno, f"node name {_echo(name)} contains unprintable characters")
+            if name in declared:
+                raise NetworkParseError(lineno, f"duplicate node name {_echo(name)}")
+            declared[name] = name
         elif len(parts) == 3 and parts[0] == "commodity":
             source, sink = declared.get(parts[1]), declared.get(parts[2])
-            if source and sink and source is not sink:
-                commodities.append(Commodity(len(commodities) + 1, source, sink))
-                continue
-        elif not parts or parts[0].startswith("#"):  # blank or comment
-            continue
-        raise _line_error(lineno, parts, declared, most_digits)
+            if not (source and sink):
+                raise _undeclared(lineno, parts, declared)
+            if source is sink:
+                raise NetworkParseError(lineno, "commodity source equals sink")
+            commodities.append(Commodity(len(commodities) + 1, source, sink))
+        elif parts and not parts[0].startswith("#"):  # neither blank nor a comment
+            directive, arity = parts[0], _DIRECTIVE_ARITY.get(parts[0])
+            if arity is None:
+                raise NetworkParseError(lineno, f"unknown directive {_echo(directive)}")
+            raise NetworkParseError(
+                lineno, f"{directive!r} expects {arity - 1} arguments, got {len(parts) - 1}"
+            )
 
     end = max(len(lines), 1)
     if not tails:
@@ -197,37 +215,10 @@ def _echo(token: str, show=repr) -> str:
     return f"{show(token[:_ECHO_CHARS] + '…')} ({len(token)} characters)" if long else show(token)
 
 
-def _line_error(line: int, parts: list[str], declared: dict, most_digits: int) -> NetworkParseError:
-    """The first fault of a line that failed parse_network's tests, in the
-    order directive, arity, node name, endpoints, capacity and self-loop."""
-    directive = parts[0]
-    arity = _DIRECTIVE_ARITY.get(directive)
-    if arity is None:
-        return NetworkParseError(line, f"unknown directive {_echo(directive)}")
-    if len(parts) != arity:
-        return NetworkParseError(
-            line, f"{directive!r} expects {arity - 1} arguments, got {len(parts) - 1}"
-        )
-    if directive == "node":  # an unprintable name, or else one declared before
-        name = _echo(parts[1])
-        if not parts[1].isprintable():
-            return NetworkParseError(line, f"node name {name} contains unprintable characters")
-        return NetworkParseError(line, f"duplicate node name {name}")
-    for endpoint in parts[1:3]:  # an edge's or a commodity's two ends
-        if endpoint not in declared:
-            return NetworkParseError(line, f"{directive} endpoint {_echo(endpoint)} not declared")
-    if directive == "commodity":
-        return NetworkParseError(line, "commodity source equals sink")
-    tail, capacity = parts[1], parts[3]
-    # int() would also take "+5", "1_0" and non-ASCII digits.
-    digits = capacity.removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
-        return NetworkParseError(line, f"capacity {_echo(capacity)} is not an integer")
-    if capacity.startswith("-"):
-        return NetworkParseError(line, f"negative capacity {_echo(capacity, str)}")
-    if len(digits) > most_digits:  # parse_network's own length test
-        return NetworkParseError(line, f"capacity has more than {most_digits} digits")
-    return NetworkParseError(line, f"self-loop on node {_echo(tail)}")
+def _undeclared(line: int, parts: list[str], declared: dict) -> NetworkParseError:
+    """The error naming the first undeclared end of an edge or commodity line."""
+    endpoint = next(end for end in parts[1:3] if end not in declared)
+    return NetworkParseError(line, f"{parts[0]} endpoint {_echo(endpoint)} not declared")
 
 
 def _violations(net: Network) -> list[str]:
@@ -245,8 +236,9 @@ def _violations(net: Network) -> list[str]:
         violations.append("network has no edges")
     if not net.commodities:
         violations.append("network has no commodities")
-    # Sound edges and commodities pass the plain comparisons first; only a
-    # failing one is looked at again to word its messages.
+    # A sound edge passes the plain comparisons first, and only a failing one
+    # is looked at again to word its messages: a network has thousands of
+    # edges, but only a few dozen commodities, each checked once with its wording.
     for position, edge in enumerate(net.edges):
         if edge.id == position and edge.tail in seen and edge.head in seen:
             if edge.tail != edge.head and type(edge.capacity) is int and edge.capacity >= 0:
@@ -264,17 +256,13 @@ def _violations(net: Network) -> list[str]:
         if edge.tail == edge.head:
             violations.append(f"{tag}: self-loop")
     for position, com in enumerate(net.commodities):
-        if com.index == position + 1 and com.source in seen and com.sink in seen:
-            if com.source != com.sink:
-                continue
-        tag = f"commodity {com.index}"
         if com.index != position + 1:
-            violations.append(f"{tag}: index not dense at position {position}")
+            violations.append(f"commodity {com.index}: index not dense at position {position}")
         for endpoint in (com.source, com.sink):
             if endpoint not in seen:
-                violations.append(f"{tag}: endpoint {endpoint!r} not declared")
+                violations.append(f"commodity {com.index}: endpoint {endpoint!r} not declared")
         if com.source == com.sink:
-            violations.append(f"{tag}: source equals sink")
+            violations.append(f"commodity {com.index}: source equals sink")
     return violations
 
 

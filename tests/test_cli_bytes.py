@@ -21,7 +21,9 @@ import base64
 import contextlib
 import hashlib
 import io
+import os
 import random
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -120,15 +122,48 @@ def recorded() -> dict[str, str]:
     return cases
 
 
-def test_every_case_prints_its_recorded_bytes(tmp_path):
+# Prints compute()'s digests, one "case digest" line each, as the digest
+# file holds them; argv[1] is the directory to write the inputs to.
+COMPUTE_AND_PRINT = """\
+import sys
+from pathlib import Path
+
+from test_cli_bytes import compute
+
+if not sys.flags.optimize:
+    raise SystemExit("asserts are on")
+print("".join(f"{case} {digest}\\n" for case, digest in compute(Path(sys.argv[1])).items()), end="")
+"""
+
+
+def _assert_recorded(got: dict[str, str]) -> None:
     want = recorded()
-    got = compute(tmp_path)
     missing = sorted(set(want) - set(got))
     extra = sorted(set(got) - set(want))
     changed = [case for case in want if case in got and got[case] != want[case]]
     assert not missing, f"{len(missing)} recorded cases no longer run: {missing[:10]}"
     assert not extra, f"{len(extra)} cases have no recorded digest: {extra[:10]}"
     assert not changed, f"{len(changed)} cases print different bytes: {changed[:10]}"
+
+
+def test_every_case_prints_its_recorded_bytes(tmp_path):
+    _assert_recorded(compute(tmp_path))
+
+
+def test_every_case_prints_its_recorded_bytes_under_python_O(tmp_path):
+    """`python -O` strips every assert, and no printed byte may depend on one."""
+    env = dict(os.environ)
+    paths = [str(HERE.parent / "src"), str(HERE), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", COMPUTE_AND_PRINT, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=50,
+    )
+    assert done.returncode == 0, done.stderr
+    _assert_recorded(dict(line.rsplit(" ", 1) for line in done.stdout.splitlines()))
 
 
 def test_contract_covers_every_command():

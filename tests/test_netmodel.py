@@ -124,6 +124,12 @@ class TestParse:
             ("node s\nnode t\nedge s s " + "9" * 4001 + "\n", 3, "more than 4000 digits"),
             ("node s\nnode t\ncommodity q q\n", 3, "not declared"),
             ("node a\x00 b\n", 1, "expects 1 arguments"),
+            # The first undeclared end is named; the capacity is checked
+            # before the self-loop.
+            ("node s\nnode t\nedge s q x\n", 3, "edge endpoint 'q' not declared"),
+            ("node s\nnode t\nedge p q 1\n", 3, "edge endpoint 'p' not declared"),
+            ("node s\nnode t\ncommodity q s\n", 3, "commodity endpoint 'q' not declared"),
+            ("node s\nnode t\nedge s s 1_0\n", 3, "not an integer"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line, fragment):
@@ -404,26 +410,26 @@ class TestParsedNamesAreShared:
 
 class TestSoundTextIsNotWorded:
     """A sound line passes the cheap tests only: text that parses never
-    reaches the helper that words errors."""
+    builds a NetworkParseError."""
 
     def test_regular_corpus(self, monkeypatch):
-        calls = []
-        line_error = netmodel._line_error
+        built = []
 
-        def counting(*args):
-            calls.append(args)
-            return line_error(*args)
+        class Counting(NetworkParseError):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
 
-        monkeypatch.setattr(netmodel, "_line_error", counting)
+        monkeypatch.setattr(netmodel, "NetworkParseError", Counting)
         rng = random.Random(77)
         for _ in range(30):
             net = regular_network(rng, rng.randint(3, 60), rng.randint(1, 4), rng.randint(1, 6))
             text = "# seeded\n\n" + render_network(net).replace("\n", " \r\n\t", 3)
             assert parse_network(text) == net
-        assert calls == []
-        with pytest.raises(NetworkParseError):
+        assert built == []
+        with pytest.raises(Counting):
             parse_network("node s\nnode t\nedge s t -1\ncommodity s t\n")
-        assert len(calls) == 1  # the patch is what parse_network calls
+        assert len(built) == 1  # the patch is what parse_network builds
 
 
 def _problems(*args) -> list[str]:
