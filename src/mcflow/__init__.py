@@ -1,9 +1,9 @@
 """Multicommodity max-flow heuristic over capacitated directed networks.
 
-Pipeline: per-commodity max flow (maxflow) -> colored path tables (tables)
--> greedy minimum-color-count selection (heuristic), with an exhaustive
-oracle for small instances (oracle), a text/DOT network model (netmodel),
-and a CLI front end (cli).
+Pipeline: a text network model (netmodel) -> per-commodity max flow
+(maxflow) -> colored path tables (tables) -> greedy selection and DOT
+export (heuristic), with an exhaustive oracle for small instances (oracle)
+and a CLI front end (cli); each imports only from those before it.
 
 The package exports exactly the names each of those five modules lists in
 its own `__all__`.

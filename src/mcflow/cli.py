@@ -18,9 +18,9 @@ A handler returns its exit code and its report as one list of rows, each
 human-only heading; `line` is the human text, or None for a record with no
 line of its own.  run() prints one half of every row, so each report walks
 its data once for both styles.  Each human half is written `human and
-f"..."`, so a structured run formats no human text.  Two handlers write
-their own output and return no rows: bound streams its 2^K - K - 1 subset
-terms a line at a time, and export writes DOT text, which has one form.
+f"..."`, so a structured run formats no human text, and export's DOT text,
+which has one form, is a human-only row per line.  Only bound writes its own
+output and returns no rows: it streams its 2^K - K - 1 subset terms.
 """
 
 from __future__ import annotations
@@ -31,15 +31,9 @@ import functools
 import os
 import sys
 
-from .heuristic import greedy_solve, intersection_terms, upper_bounds
+from .heuristic import export_dot, greedy_solve, intersection_terms, upper_bounds
 from .maxflow import max_flow
-from .netmodel import (
-    Network,
-    NetworkParseError,
-    export_dot,
-    parse_network,
-    render_path,
-)
+from .netmodel import Network, NetworkParseError, parse_network, render_path
 from .oracle import (
     DEFAULT_MAX_CANDIDATES,
     DEFAULT_MAX_PATHS,
@@ -96,9 +90,8 @@ def _cmd_validate(net: Network, args: argparse.Namespace, human: bool) -> tuple[
 def _cmd_maxflow(net: Network, args: argparse.Namespace, human: bool) -> tuple[int, list]:
     try:
         com = net.commodity(args.commodity)
-    except ValueError:
-        count = len(net.commodities)
-        return _error(f"no commodity with index {args.commodity} (network declares {count})"), []
+    except ValueError as exc:
+        return _error(str(exc)), []
     flow = max_flow(net, com)
     cut = flow.min_cut
     side = cut.source_side
@@ -251,10 +244,9 @@ def _cmd_gap(net: Network, args: argparse.Namespace, human: bool) -> tuple[int, 
 
 
 def _cmd_export(net: Network, args: argparse.Namespace, human: bool) -> tuple[int, list]:
-    """The DOT text has one form, written here; no rows."""
+    """The DOT text has one form: a human-only row per line."""
     assignment = greedy_solve(build_tables(net)) if args.assignment else None
-    sys.stdout.write(export_dot(net, assignment))
-    return 0, []
+    return 0, [(None, line) for line in export_dot(net, assignment).splitlines()]
 
 
 # The output style, for every subcommand but export (its DOT text has one form).

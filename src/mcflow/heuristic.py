@@ -7,6 +7,8 @@ distinct colors ships next, always at its current residual bottleneck.
 Ties break on (commodity, ordinal).  The shipped total is a lower bound on
 the joint optimum; upper_bounds reports two capacity relaxations next to it,
 and intersection_terms streams the subset terms behind the second.
+export_dot draws a network as Graphviz DOT text, with an assignment's flow
+on its edges once validate_assignment has checked the flow's references.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .tables import FlowTables
 __all__ = [
     "Assignment",
     "UpperBounds",
+    "export_dot",
     "greedy_solve",
     "intersection_terms",
     "upper_bounds",
@@ -194,6 +197,64 @@ def validate_assignment(net: Network, assignment: Assignment) -> list[str]:
     if assignment.total_value != split:
         violations.append(f"total {assignment.total_value} != per-commodity sum {split}")
     return violations
+
+
+_DOT_COLORS = (
+    "blue",
+    "red",
+    "forestgreen",
+    "darkorange",
+    "purple",
+    "brown",
+    "teal",
+    "magenta",
+)
+
+
+def _dot_quote(name: str) -> str:
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _commodity_color(index: int) -> str:
+    return _DOT_COLORS[(index - 1) % len(_DOT_COLORS)]
+
+
+def export_dot(net: Network, assignment: Assignment | None = None) -> str:
+    """Render the network as Graphviz DOT text.
+
+    Without an assignment every edge is labeled with its capacity.  With
+    one, edges are labeled "flow/capacity" (flow summed over commodities)
+    and colored by the commodities whose flow they carry; idle edges are
+    gray.  The assignment goes through validate_assignment first, so it
+    raises ValueError at the first edge_flow entry naming a commodity or
+    edge the network does not have; an infeasible flow is drawn as it is.
+    """
+    carried: dict[int, list[tuple[int, int]]] = {}
+    if assignment is not None:
+        validate_assignment(net, assignment)  # raises on a bad reference; violations are drawn
+        # Sorted, each edge lists its commodities in index order, as the
+        # commodity lines above do.
+        for (commodity_index, eid), units in sorted(assignment.edge_flow.items()):
+            carried.setdefault(eid, []).append((commodity_index, units))
+    lines = ["digraph network {", "  rankdir=LR;", "  node [shape=circle, fontsize=11];"]
+    for com in net.commodities:
+        lines.append(
+            f"  // commodity {com.index}: {com.source} -> {com.sink}"
+            f" [{_commodity_color(com.index)}]"
+        )
+    for name in net.nodes:
+        lines.append(f"  {_dot_quote(name)};")
+    for edge in net.edges:
+        if assignment is None:
+            attrs = f'label="{edge.capacity}"'
+        else:
+            flows = carried.get(edge.id, [])
+            total = sum(units for _, units in flows)
+            color = ":".join(_commodity_color(i) for i, units in flows if units > 0) or "gray"
+            attrs = f'label="{total}/{edge.capacity}", color="{color}"'
+        lines.append(f"  {_dot_quote(edge.tail)} -> {_dot_quote(edge.head)} [{attrs}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Network data model: text parsing, validation, rendering, and DOT export.
+"""Network data model: text parsing, validation and path rendering.
 
 The text format is line oriented, UTF-8, one directive per line:
 
@@ -21,17 +21,13 @@ from collections import deque
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import count, repeat
-from typing import TYPE_CHECKING, NamedTuple, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .heuristic import Assignment
+from typing import NamedTuple, Sequence
 
 __all__ = [
     "Commodity",
     "Edge",
     "Network",
     "NetworkParseError",
-    "export_dot",
     "parse_network",
     "render_path",
 ]
@@ -123,7 +119,8 @@ class Network:
 
     def commodity(self, index: int) -> Commodity:
         if not 1 <= index <= len(self.commodities):
-            raise ValueError(f"no commodity with index {index}")
+            declared = len(self.commodities)
+            raise ValueError(f"no commodity with index {index} (network declares {declared})")
         return self.commodities[index - 1]
 
 
@@ -278,70 +275,3 @@ def render_path(net: Network, edge_ids: Sequence[int]) -> str:
             raise ValueError(f"edge {eid} does not continue the path at {nodes[-1]!r}")
         nodes.append(edge.head)
     return "->".join(nodes)
-
-
-_DOT_COLORS = (
-    "blue",
-    "red",
-    "forestgreen",
-    "darkorange",
-    "purple",
-    "brown",
-    "teal",
-    "magenta",
-)
-
-
-def _dot_quote(name: str) -> str:
-    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _commodity_color(index: int) -> str:
-    return _DOT_COLORS[(index - 1) % len(_DOT_COLORS)]
-
-
-def _check_references(net: Network, assignment: "Assignment") -> None:
-    """ValueError if the assignment's edge_flow names an unknown commodity or edge."""
-    known = {com.index for com in net.commodities}
-    for commodity_index, eid in assignment.edge_flow:
-        if commodity_index not in known:
-            raise ValueError(f"assignment references unknown commodity {commodity_index}")
-        if not 0 <= eid < len(net.edges):
-            raise ValueError(f"assignment references unknown edge {eid}")
-
-
-def export_dot(net: Network, assignment: "Assignment | None" = None) -> str:
-    """Render the network as Graphviz DOT text.
-
-    Without an assignment every edge is labeled with its capacity.  With
-    one, edges are labeled "flow/capacity" (flow summed over commodities)
-    and colored by the commodities whose flow they carry; idle edges are
-    gray.  Raises ValueError if the assignment references an edge or
-    commodity the network does not have.
-    """
-    carried: dict[int, list[tuple[int, int]]] = {}
-    if assignment is not None:
-        _check_references(net, assignment)
-        # Sorted, each edge lists its commodities in index order, as the
-        # commodity lines above do.
-        for (commodity_index, eid), units in sorted(assignment.edge_flow.items()):
-            carried.setdefault(eid, []).append((commodity_index, units))
-    lines = ["digraph network {", "  rankdir=LR;", "  node [shape=circle, fontsize=11];"]
-    for com in net.commodities:
-        lines.append(
-            f"  // commodity {com.index}: {com.source} -> {com.sink}"
-            f" [{_commodity_color(com.index)}]"
-        )
-    for name in net.nodes:
-        lines.append(f"  {_dot_quote(name)};")
-    for edge in net.edges:
-        if assignment is None:
-            attrs = f'label="{edge.capacity}"'
-        else:
-            flows = carried.get(edge.id, [])
-            total = sum(units for _, units in flows)
-            color = ":".join(_commodity_color(i) for i, units in flows if units > 0) or "gray"
-            attrs = f'label="{total}/{edge.capacity}", color="{color}"'
-        lines.append(f"  {_dot_quote(edge.tail)} -> {_dot_quote(edge.head)} [{attrs}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

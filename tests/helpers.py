@@ -34,8 +34,6 @@ from mcflow.netmodel import (
     _DIRECTIVE_ARITY,
     _MAX_CAPACITY_DIGITS,
     _Arcs,
-    _commodity_color,
-    _dot_quote,
 )
 
 
@@ -742,6 +740,22 @@ def reference_validate_assignment(net: Network, assignment) -> list[str]:
     return violations
 
 
+# The colors of commodities 1 to 8 in a DOT export; commodity 9 starts over.
+REFERENCE_DOT_COLORS = (
+    "blue", "red", "forestgreen", "darkorange", "purple", "brown", "teal", "magenta",
+)
+
+
+def reference_dot_quote(name: str) -> str:
+    """A DOT quoted string: each backslash and double quote in `name` gets
+    a backslash in front of it."""
+    return '"' + "".join("\\" + char if char in '\\"' else char for char in name) + '"'
+
+
+def reference_commodity_color(index: int) -> str:
+    return REFERENCE_DOT_COLORS[(index - 1) % 8]
+
+
 def reference_export_dot(net: Network, assignment) -> str:
     """The DOT export with an assignment as export_dot wrote it before it
     grouped edge_flow by edge, kept as its reference: each edge's total and
@@ -751,10 +765,10 @@ def reference_export_dot(net: Network, assignment) -> str:
     for com in net.commodities:
         lines.append(
             f"  // commodity {com.index}: {com.source} -> {com.sink}"
-            f" [{_commodity_color(com.index)}]"
+            f" [{reference_commodity_color(com.index)}]"
         )
     for name in net.nodes:
-        lines.append(f"  {_dot_quote(name)};")
+        lines.append(f"  {reference_dot_quote(name)};")
     for edge in net.edges:
         total = sum(
             assignment.edge_flow.get((com.index, edge.id), 0)
@@ -765,9 +779,10 @@ def reference_export_dot(net: Network, assignment) -> str:
             for com in net.commodities
             if assignment.edge_flow.get((com.index, edge.id), 0) > 0
         ]
-        color = ":".join(_commodity_color(i) for i in carriers) or "gray"
+        color = ":".join(reference_commodity_color(i) for i in carriers) or "gray"
         attrs = f'label="{total}/{edge.capacity}", color="{color}"'
-        lines.append(f"  {_dot_quote(edge.tail)} -> {_dot_quote(edge.head)} [{attrs}];")
+        tail, head = reference_dot_quote(edge.tail), reference_dot_quote(edge.head)
+        lines.append(f"  {tail} -> {head} [{attrs}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

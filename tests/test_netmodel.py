@@ -566,6 +566,38 @@ class TestExportDot:
         with pytest.raises(ValueError, match="unknown commodity"):
             export_dot(golden_net, _assignment({(9, 0): 1}))
 
+    def test_backslashes_and_quotes_in_names_are_escaped(self):
+        # The backslash is escaped first, so x\"y ends as "x\\\"y".
+        net = parse_network(r"""
+node a\b
+node "q"
+node x\"y
+edge a\b "q" 3
+edge "q" x\"y 4
+commodity a\b x\"y
+""")
+        head = [
+            "digraph network {",
+            "  rankdir=LR;",
+            "  node [shape=circle, fontsize=11];",
+            r'  // commodity 1: a\b -> x\"y [blue]',
+            r'  "a\\b";',
+            r'  "\"q\"";',
+            r'  "x\\\"y";',
+        ]
+        assert export_dot(net).splitlines() == head + [
+            r'  "a\\b" -> "\"q\"" [label="3"];',
+            r'  "\"q\"" -> "x\\\"y" [label="4"];',
+            "}",
+        ]
+        shipped = greedy_solve(build_tables(net))
+        assert export_dot(net, shipped).splitlines() == head + [
+            r'  "a\\b" -> "\"q\"" [label="3/3", color="blue"];',
+            r'  "\"q\"" -> "x\\\"y" [label="3/4", color="blue"];',
+            "}",
+        ]
+        assert export_dot(net, shipped) == reference_export_dot(net, shipped)
+
     def test_deterministic(self, golden_net):
         assert export_dot(golden_net) == export_dot(golden_net)
 
