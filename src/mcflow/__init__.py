@@ -2,8 +2,8 @@
 
 Pipeline: a text network model (netmodel) -> per-commodity max flow
 (maxflow) -> colored path tables (tables) -> greedy selection and DOT
-export (heuristic), with an exhaustive oracle for small instances (oracle)
-and a CLI front end (cli); each imports only from those before it.
+export (heuristic), with an exact LP branch and bound for small instances
+(oracle) and a CLI front end (cli); each imports only from those before it.
 
 The package exports exactly the names each of those five modules lists in
 its own `__all__`.

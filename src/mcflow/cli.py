@@ -7,7 +7,8 @@ the locale; diagnostics go to standard error.
 
 Exit codes: 0 success, 2 parse or usage error, unreadable input or a
 report that cannot be written (standard output closed, as by `| head`, or
-a full disk), 3 oracle truncation.
+a full disk), 3 the exact search gave up (its pivot budget or its size
+ceiling) before it proved the optimum.
 
 The structured format is one record per line, fields separated by tabs,
 with repeated keys for list-valued data, so output is trivially machine
@@ -34,19 +35,14 @@ import sys
 from .heuristic import export_dot, greedy_solve, intersection_terms, upper_bounds
 from .maxflow import max_flow
 from .netmodel import Network, NetworkParseError, parse_network, render_path
-from .oracle import (
-    DEFAULT_MAX_CANDIDATES,
-    DEFAULT_MAX_PATHS,
-    gap_report,
-    optimal_value,
-)
+from .oracle import DEFAULT_MAX_CANDIDATES, gap_report, optimal_value
 from .tables import build_tables, color_name
 
 __all__ = ["main", "run"]
 
 
 def _budget(text: str) -> int:
-    """An oracle limit: a non-negative integer, else a usage error."""
+    """A pivot budget: a non-negative integer, else a usage error."""
     try:
         value = int(text)
     except ValueError:
@@ -214,15 +210,12 @@ def _cmd_bound(net: Network, args: argparse.Namespace, human: bool) -> tuple[int
 
 
 def _cmd_oracle(net: Network, args: argparse.Namespace, human: bool) -> tuple[int, list]:
-    result = optimal_value(net, max_paths=args.max_paths, max_candidates=args.max_candidates)
-    paths = list(zip(result.paths, result.witness))
+    result = optimal_value(net, max_candidates=args.max_candidates)
     return 3 if result.truncated else 0, [
-        (None, "paths:" if paths else None),
-        *((("path", p.commodity, p.ordinal, p.bottleneck, text := render_path(net, p.edges)),
-           human and f"  commodity {p.commodity} #{p.ordinal}: {text}"
-           f" carries {amount} (max {p.bottleneck})")
-          for p, amount in paths),
-        *((("witness", p.commodity, p.ordinal, amount), None) for p, amount in paths),
+        (None, "witness:" if result.witness.shipments else None),
+        *((("witness", p.commodity, p.ordinal, amount, text := render_path(net, p.edges)),
+           human and f"  commodity {p.commodity} #{p.ordinal}: {text} carries {amount}")
+          for p, amount in result.witness.shipments),
         *_fields(human, [
             ("optimum", "optimum", result.optimum),
             ("explored", "explored", result.explored),
@@ -232,7 +225,7 @@ def _cmd_oracle(net: Network, args: argparse.Namespace, human: bool) -> tuple[in
 
 
 def _cmd_gap(net: Network, args: argparse.Namespace, human: bool) -> tuple[int, list]:
-    report = gap_report(net, max_paths=args.max_paths, max_candidates=args.max_candidates)
+    report = gap_report(net, max_candidates=args.max_candidates)
     return 3 if report.truncated else 0, _fields(human, [
         ("heuristic", "greedy heuristic", report.heuristic_value),
         ("optimum", "oracle optimum", report.optimum),
@@ -255,11 +248,11 @@ _FORMAT = (
     dict(choices=("human", "structured"), default="human", help="output style (default: human)"),
 )
 
-# The oracle's limits, shared by oracle and gap.
-_LIMITS = [
-    ("--max-paths", {"type": _budget, "default": DEFAULT_MAX_PATHS}),
-    ("--max-candidates", {"type": _budget, "default": DEFAULT_MAX_CANDIDATES}),
-]
+# The exact search's budget, shared by oracle and gap.
+_BUDGET = (
+    "--max-candidates",
+    dict(type=_budget, default=DEFAULT_MAX_CANDIDATES, help="most simplex pivots to spend"),
+)
 
 # Each subcommand: its help text, its own options and its handler.
 _COMMANDS = {
@@ -275,8 +268,8 @@ _COMMANDS = {
     "tables": ("build and print the five selection tables", [_FORMAT], _cmd_tables),
     "solve": ("run the greedy multicommodity heuristic", [_FORMAT], _cmd_solve),
     "bound": ("cut-intersection upper bound report", [_FORMAT], _cmd_bound),
-    "oracle": ("exact optimum by exhaustive path-flow search", [_FORMAT, *_LIMITS], _cmd_oracle),
-    "gap": ("greedy heuristic vs exact oracle comparison", [_FORMAT, *_LIMITS], _cmd_gap),
+    "oracle": ("exact optimum by LP branch and bound", [_FORMAT, _BUDGET], _cmd_oracle),
+    "gap": ("greedy heuristic vs exact optimum comparison", [_FORMAT, _BUDGET], _cmd_gap),
     "export": (
         "Graphviz DOT export",
         [

@@ -37,8 +37,7 @@ __all__ = [
 class ColoredPath:
     """A source-sink path, the `ordinal`-th of its commodity.
 
-    `bottleneck` is the amount the decomposition assigned to the path, or,
-    for the oracle's enumerated paths, its smallest capacity.  A decomposed
+    `bottleneck` is the amount the decomposition assigned to the path.  A
     path's position in the tables' path list names its color.
     """
 
@@ -295,20 +294,21 @@ def _cancel_flow_cycles(net: Network, flows: dict[int, int]) -> dict[int, list[t
             flows[eid] -= delta
 
 
-# Module-level under this name because perfbench/spans.py times it and counts its paths.
+# Module-level under this name because perfbench/spans.py times it and counts
+# its paths.  The oracle calls it too, with no cut, to peel its witness flow.
 def decompose_cut_paths(
-    net: Network, com: Commodity, flows: dict[int, int], cut: Cut
+    net: Network, com: Commodity, flows: dict[int, int], cut: Cut | None
 ) -> tuple[ColoredPath, ...]:
-    """Peel `flows`, a copy of max_flow's edge flows, into simple paths of `com`, zeroing it.
+    """Peel `flows`, positive edge flows ascending by id, into simple paths of `com`, zeroing it.
 
     Deterministic: flow cycles are cancelled first, then the walk following
     the lowest-id positive-flow edge out of each node is peeled by its
     bottleneck, repeatedly, until the source has no positive out-flow.
-    Each path must use exactly one edge of the flow's min cut `cut`, and
-    the amounts must sum to its capacity.
+    Given the flow's min cut `cut`, each path must use exactly one of its
+    edges, and the amounts must sum to its capacity.
     """
     s, t = net.arcs.index[com.source], net.arcs.index[com.sink]
-    crossing = {e.id for e in cut.cut_edges}
+    crossing = cut and {e.id for e in cut.cut_edges}
     positive = _cancel_flow_cycles(net, flows)
 
     def next_edge(v: int) -> tuple[int, int] | None:
@@ -335,7 +335,8 @@ def decompose_cut_paths(
             flows[eid] -= amount
         peeled += amount
         assert len(set(visited)) == len(visited), "peeled path is not simple"
-        assert sum(e in crossing for e in walk) == 1, "path must cross the min cut exactly once"
+        if cut is not None:
+            assert sum(e in crossing for e in walk) == 1, "path must cross the cut exactly once"
         paths.append(ColoredPath(com.index, len(paths) + 1, tuple(walk), amount))
-    assert peeled == cut.capacity, "decomposition amounts must sum to the cut capacity"
+    assert cut is None or peeled == cut.capacity, "amounts must sum to the cut capacity"
     return tuple(paths)

@@ -98,9 +98,9 @@ class Network:
 
     @cached_property
     def arcs(self) -> _Arcs:
-        """The network as integer residual arcs, for max flow, decomposition
-        and path enumeration.  Built on first use and shared by every
-        caller, so treat it as read-only."""
+        """The network as integer residual arcs, for max flow and
+        decomposition.  Built on first use and shared by every caller, so
+        treat it as read-only."""
         index = {name: number for number, name in enumerate(self.nodes)}
         tails = [index[edge.tail] for edge in self.edges]
         heads = [index[edge.head] for edge in self.edges]

@@ -9,8 +9,8 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 # Wall-clock limits per test, in seconds.  A test that hangs (a max flow
 # that never ends, say) fails with TimeLimitExceeded instead of stalling
-# the suite.  Tests marked `slow` (the oracle sweep, about 25 s) get the
-# larger limit; every other test runs in a few seconds.
+# the suite.  Tests marked `slow` (the `bound` memory test, which streams
+# 2^20 terms) get the larger limit; every other test runs in a few seconds.
 TIME_LIMIT_S = 60
 SLOW_TIME_LIMIT_S = 900
 

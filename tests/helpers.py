@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from mcflow import (
     DEFAULT_MAX_CANDIDATES,
-    DEFAULT_MAX_PATHS,
     ColoredPath,
     Commodity,
     Cut,
@@ -26,9 +25,6 @@ from mcflow import (
     FlowState,
     Network,
     NetworkParseError,
-    OracleLimitError,
-    OracleResult,
-    enumerate_paths,
 )
 from mcflow.netmodel import (
     _DIRECTIVE_ARITY,
@@ -787,14 +783,33 @@ def reference_export_dot(net: Network, assignment) -> str:
     return "\n".join(lines) + "\n"
 
 
+REFERENCE_MAX_PATHS = 64
+
+
+class ReferenceLimitError(RuntimeError):
+    """A commodity has more simple paths than the reference may list."""
+
+
+class ReferenceResult(NamedTuple):
+    """The brute-force optimum and its witness: `witness[i]` is the amount
+    on `paths[i]`.  `truncated` is set when the node budget ran out or a
+    commodity had too many paths (then the optimum is 0 and `paths` empty)."""
+
+    optimum: int
+    witness: tuple[int, ...]
+    explored: int
+    truncated: bool
+    paths: tuple[ColoredPath, ...]
+
+
 def reference_enumerate_paths(
-    net: Network, com: Commodity, limit: int = DEFAULT_MAX_PATHS
+    net: Network, com: Commodity, limit: int = REFERENCE_MAX_PATHS
 ) -> list[ColoredPath]:
-    """The unpruned walk that enumerate_paths prunes, over node names:
-    every simple source-sink path of `com`, depth first with lower edge ids
-    first, entering every node off the trail whether or not the sink is
-    still reachable from it.  Raises OracleLimitError past `limit`.
-    Recurses once per node on the trail, so keep networks small."""
+    """Every simple source-sink path of `com`, over node names, depth first
+    with lower edge ids first, entering every node off the trail whether or
+    not the sink is still reachable from it; each path's bottleneck is its
+    smallest capacity.  Raises ReferenceLimitError past `limit`.  Recurses
+    once per node on the trail, so keep networks small."""
     out = reference_out_edges(net)
     found: list[ColoredPath] = []
 
@@ -805,7 +820,7 @@ def reference_enumerate_paths(
                 bottleneck = min(net.edges[eid].capacity for eid in edges)
                 found.append(ColoredPath(com.index, len(found) + 1, edges, bottleneck))
                 if len(found) > limit:
-                    raise OracleLimitError(f"commodity {com.index}: more than {limit} simple paths")
+                    raise ReferenceLimitError(f"commodity {com.index}: more than {limit} paths")
             elif edge.head not in visited:
                 walk(edge.head, edges, visited | {edge.head})
 
@@ -815,30 +830,30 @@ def reference_enumerate_paths(
 
 def reference_optimal_value(
     net: Network,
-    max_paths: int = DEFAULT_MAX_PATHS,
+    max_paths: int = REFERENCE_MAX_PATHS,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
     catalog: Sequence[ColoredPath] | None = None,
-) -> OracleResult:
-    """The recursive branch and bound that optimal_value replaced, kept as
-    its reference: same visit order, prunes, budget and result.  Recurses
-    once per catalog path, so keep catalogs small.
+) -> ReferenceResult:
+    """Exact integral optimum over simple-path flows by brute force, within
+    limits: every simple path of every commodity, each carrying an integer
+    amount up to the residual capacity along it, searched by a recursive
+    branch and bound, high amounts first, that prunes a node whose suffix
+    capacity cannot beat the best leaf.  `max_candidates` bounds its nodes.
+    Recurses once per catalog path, so keep catalogs small.
 
-    Exact integral optimum over simple-path flows, within limits.
-
-    Independent of path enumeration order: the optimum is a property of the
-    instance, and the witness is canonical (lexicographically largest over
-    the catalog order used: the first optimal leaf, high amounts first).
-    Pass `catalog` to restrict the search to a known path set.
+    The witness is the lexicographically largest optimal amount vector over
+    the catalog order used: the first optimal leaf.  Pass `catalog` to
+    restrict the search to a known path set.
     """
     if catalog is None:
         try:
             catalog = [
                 path
                 for com in net.commodities
-                for path in enumerate_paths(net, com, max_paths)
+                for path in reference_enumerate_paths(net, com, max_paths)
             ]
-        except OracleLimitError:
-            return OracleResult(0, (), 0, True, ())
+        except ReferenceLimitError:
+            return ReferenceResult(0, (), 0, True, ())
     paths = tuple(catalog)
     m = len(paths)
     residual = [e.capacity for e in net.edges]
@@ -887,7 +902,7 @@ def reference_optimal_value(
                 return
 
     descend(0, 0)
-    return OracleResult(best_value, tuple(best_vector), explored, budget_hit, paths)
+    return ReferenceResult(best_value, tuple(best_vector), explored, budget_hit, paths)
 
 
 def flow_is_feasible(net: Network, edge_flow, s: str, t: str) -> bool:

@@ -130,7 +130,6 @@ def test_criterion_4_greedy_feasibility():
     _report(4, "greedy feasibility", " (500 instances)")
 
 
-@pytest.mark.slow
 def test_criterion_5_optimality_gap(tmp_path):
     golden = parse_network((DATA / "two_commodity.net").read_text(encoding="utf-8"))
     assert gap_report(golden).gap == 0
@@ -159,7 +158,7 @@ def test_criterion_5_optimality_gap(tmp_path):
             target.write_text(render_network(net), encoding="utf-8")
             archived.append(target.name)
     assert usable > 0
-    assert truncated <= 9
+    assert truncated == 0
     # The checked-in counterexamples are read-only fixtures: each must be
     # found again, byte for byte.
     for known in sorted(COUNTEREXAMPLES.glob("gap_*.net")):

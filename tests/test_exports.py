@@ -11,19 +11,16 @@ PUBLIC_NAMES = [
     "Commodity",
     "Cut",
     "DEFAULT_MAX_CANDIDATES",
-    "DEFAULT_MAX_PATHS",
     "Edge",
     "FlowState",
     "FlowTables",
     "GapReport",
     "Network",
     "NetworkParseError",
-    "OracleLimitError",
     "OracleResult",
     "UpperBounds",
     "build_tables",
     "color_name",
-    "enumerate_paths",
     "export_dot",
     "gap_report",
     "greedy_solve",
