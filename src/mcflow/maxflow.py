@@ -12,10 +12,10 @@ flows and min cut.
 
 The search that finds the sink out of reach labels the source side of the
 canonical min cut, read and kept on its smaller side.  max_flow then
-hands a copy of its flows, kept only for edges that carry flow, and
-that cut to decompose_cut_paths, which cancels any flow cycles and peels
-simple source-sink paths, lowest edge id first; each path uses exactly
-one of the cut's edges.  Both cost O(support), not O(V + E).
+hands a copy of its flows, kept only for edges that carry flow, to
+decompose_cut_paths, which cancels any flow cycles and peels simple
+source-sink paths, lowest edge id first.  max_flow checks that each path
+uses exactly one of the cut's edges.  Both cost O(support), not O(V + E).
 """
 
 from __future__ import annotations
@@ -231,12 +231,19 @@ def max_flow(net: Network, com: Commodity) -> FlowState:
                 path.pop()
                 nodes.pop()
     cut = _source_cut(net, dist, levels)
-    assert (com.sink in cut.side) != cut.side_is_source
-    assert value == cut.capacity, "flow value must equal the reachability cut capacity"
     # Only the edges pushed on can carry flow, and only those that do are
     # kept; arc a | 1's residual is the flow on arc a's edge.
     flows = {a >> 1: f for a in sorted(pushed) if (f := res[a | 1])}
-    paths = decompose_cut_paths(net, com, dict(flows), cut)
+    paths = decompose_cut_paths(net, com, dict(flows))
+    # Max-flow min-cut duality: the cut's edges are saturated and nothing
+    # flows back across it, so each path crosses it once and the paths
+    # carry its whole capacity.
+    crossing = {e.id for e in cut.cut_edges}
+    assert (com.sink in cut.side) != cut.side_is_source
+    assert value == cut.capacity, "flow value must equal the reachability cut capacity"
+    for p in paths:
+        assert sum(e in crossing for e in p.edges) == 1, "path must cross the cut exactly once"
+    assert sum(p.bottleneck for p in paths) == value, "amounts must sum to the cut capacity"
     return FlowState(flows, value, cut, paths)
 
 
@@ -295,20 +302,15 @@ def _cancel_flow_cycles(net: Network, flows: dict[int, int]) -> dict[int, list[t
 
 
 # Module-level under this name because perfbench/spans.py times it and counts
-# its paths.  The oracle calls it too, with no cut, to peel its witness flow.
-def decompose_cut_paths(
-    net: Network, com: Commodity, flows: dict[int, int], cut: Cut | None
-) -> tuple[ColoredPath, ...]:
+# its paths.  The oracle peels its witness flow with it too.
+def decompose_cut_paths(net: Network, com: Commodity, flows: dict[int, int]) -> tuple[ColoredPath, ...]:
     """Peel `flows`, positive edge flows ascending by id, into simple paths of `com`, zeroing it.
 
     Deterministic: flow cycles are cancelled first, then the walk following
     the lowest-id positive-flow edge out of each node is peeled by its
     bottleneck, repeatedly, until the source has no positive out-flow.
-    Given the flow's min cut `cut`, each path must use exactly one of its
-    edges, and the amounts must sum to its capacity.
     """
     s, t = net.arcs.index[com.source], net.arcs.index[com.sink]
-    crossing = cut and {e.id for e in cut.cut_edges}
     positive = _cancel_flow_cycles(net, flows)
 
     def next_edge(v: int) -> tuple[int, int] | None:
@@ -318,7 +320,6 @@ def decompose_cut_paths(
         return edges[-1] if edges else None
 
     paths: list[ColoredPath] = []
-    peeled = 0
     while next_edge(s) is not None:
         walk: list[int] = []
         visited = [s]
@@ -333,10 +334,6 @@ def decompose_cut_paths(
         amount = min(flows[eid] for eid in walk)
         for eid in walk:
             flows[eid] -= amount
-        peeled += amount
         assert len(set(visited)) == len(visited), "peeled path is not simple"
-        if cut is not None:
-            assert sum(e in crossing for e in walk) == 1, "path must cross the cut exactly once"
         paths.append(ColoredPath(com.index, len(paths) + 1, tuple(walk), amount))
-    assert cut is None or peeled == cut.capacity, "amounts must sum to the cut capacity"
     return tuple(paths)

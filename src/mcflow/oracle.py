@@ -177,12 +177,12 @@ def _solve(net: Network, max_candidates: int) -> tuple[Assignment, UpperBounds, 
 
 def _peel(net: Network, flow: list) -> Assignment:
     """An integral flow, ((commodity, edge), units) by commodity and edge
-    id, peeled per commodity by decompose_cut_paths with no cut to check."""
+    id, peeled per commodity by decompose_cut_paths."""
     shipments = []
     edge_flow: dict[tuple[int, int], int] = {}
     for com in net.commodities:
         units = {e.id: f for (k, e), f in flow if k is com}
-        for path in decompose_cut_paths(net, com, units, None):
+        for path in decompose_cut_paths(net, com, units):
             shipments.append((path, path.bottleneck))
             for eid in path.edges:
                 edge_flow[com.index, eid] = edge_flow.get((com.index, eid), 0) + path.bottleneck

@@ -474,25 +474,39 @@ class TestDecomposeCutPaths:
 
 
 class TestDecompositionChecksItsCut:
-    """The decomposition checks its paths against the min cut it is given:
-    each path uses exactly one cut edge, and the amounts sum to the cut's
-    capacity."""
+    """max_flow checks the paths it peels against its own min cut: the sink
+    lies outside the source side, the value equals the cut's capacity,
+    each path uses exactly one cut edge, and the amounts sum to the value."""
 
-    def test_doctored_cut_is_rejected(self):
+    def test_doctored_cut_is_rejected(self, monkeypatch):
         net = _network("s a b t", ["s a 2", "a b 1", "b t 2", "s b 1"])
         com = net.commodity(1)
         f = max_flow(net, com)
         assert [e.id for e in f.min_cut.cut_edges] == [1, 3]
+        assert (f.value, f.min_cut.side, f.min_cut.side_is_source) == (2, ("s", "a"), True)
+        source_cut = maxflow._source_cut
+        # Unless doctored itself, the capacity stays at the flow's value 2.
         doctored = [
-            (net.edges[:3], 4, "exactly once"),  # s-a-b-t crosses s->a, a->b and b->t
-            ((), 2, "exactly once"),  # crossed by no path
-            (f.min_cut.cut_edges, 3, "sum to the cut capacity"),
+            ({"cut_edges": net.edges[:3]}, "exactly once"),  # s-a-b-t crosses s->a, a->b and b->t
+            ({"cut_edges": ()}, "exactly once"),  # crossed by no path
+            ({"capacity": 3}, "reachability cut capacity"),
+            ({"side_is_source": False}, "^$"),  # {s, a} as the sink side: t is on the source side
         ]
-        for cut_edges, capacity, message in doctored:
-            cut = dataclasses.replace(f.min_cut, cut_edges=cut_edges, capacity=capacity)
+        for changes, message in doctored:
+
+            def doctor(*args, changes=changes):
+                return dataclasses.replace(source_cut(*args), **changes)
+
+            monkeypatch.setattr(maxflow, "_source_cut", doctor)
             with pytest.raises(AssertionError, match=message):
-                maxflow.decompose_cut_paths(net, com, dict(f.edge_flow), cut)
-        assert maxflow.decompose_cut_paths(net, com, dict(f.edge_flow), f.min_cut) == f.paths
+                max_flow(net, com)
+        monkeypatch.setattr(maxflow, "_source_cut", source_cut)
+
+        decompose = maxflow.decompose_cut_paths
+        assert decompose(net, com, dict(f.edge_flow)) == f.paths
+        monkeypatch.setattr(maxflow, "decompose_cut_paths", lambda *args: decompose(*args)[:-1])
+        with pytest.raises(AssertionError, match="sum to"):
+            max_flow(net, com)
 
 
 class TestDecompositionMatchesReference:
@@ -526,6 +540,12 @@ class TestDecompositionMatchesReference:
                 with_cycles += 1
             cancelled = assert_cancels_like_reference(net, spun)
             assert reference_find_flow_cycle(net, cancelled) is None
+            # The oracle's use: a flow that max flow did not make, peeled
+            # with no cut of its own.
+            positive = {eid: amount for eid, amount in enumerate(spun) if amount > 0}
+            spun_state = dataclasses.replace(f, edge_flow=positive)
+            expected = tuple(reference_decompose_cut_paths(net, com, spun_state))
+            assert maxflow.decompose_cut_paths(net, com, dict(positive)) == expected
         assert with_cycles >= 50
 
 
@@ -701,7 +721,8 @@ class TestSupportBound:
         assert reference_find_flow_cycle(net, dense_flow(net, expected.edge_flow)) is not None
 
         # Every read the decomposition makes is counted: the flows, the
-        # cut, the network's edges and its arcs.
+        # network's edges and its arcs.  The cut's edges are max flow's own
+        # reads, for its checks.
         edges = CountingTuple(net.edges)
         net = Network(net.nodes, edges, net.commodities)
         arcs = net.arcs
@@ -710,15 +731,12 @@ class TestSupportBound:
         decompose = maxflow.decompose_cut_paths
         counted = {}
 
-        def counting(net, com, flows, cut):
+        def counting(net, com, flows):
             flows = CountingDict(flows)
-            cut = dataclasses.replace(cut, cut_edges=CountingTuple(cut.cut_edges))
             before = edges.reads + index.reads + out.reads
-            paths = decompose(net, com, flows, cut)
+            paths = decompose(net, com, flows)
             counted["support"] = len(flows)
-            counted["reads"] = (
-                flows.reads + cut.cut_edges.reads + edges.reads + index.reads + out.reads - before
-            )
+            counted["reads"] = flows.reads + edges.reads + index.reads + out.reads - before
             return paths
 
         monkeypatch.setattr(maxflow, "decompose_cut_paths", counting)
