@@ -1,7 +1,7 @@
-"""Exact integral optimum of the joint flow, and the comparison report
-against the greedy heuristic.
+"""Exact integral optimum of the joint flow, reported with the greedy
+heuristic's assignment and the upper bounds it is compared against.
 
-Both certify before they search: each commodity's flow crosses its own
+It certifies before it searches: each commodity's flow crosses its own
 cut, so the capacity of the union of the cut edges caps every feasible
 flow, and a greedy total that reaches it is optimal.  Otherwise one LP
 branch and bound (Land & Doig 1960) searches, within a pivot budget and a
@@ -19,7 +19,7 @@ from .maxflow import decompose_cut_paths
 from .netmodel import Network
 from .tables import build_tables
 
-__all__ = ["DEFAULT_MAX_CANDIDATES", "GapReport", "OracleResult", "gap_report", "optimal_value"]
+__all__ = ["DEFAULT_MAX_CANDIDATES", "OracleResult", "optimal_value"]
 
 DEFAULT_MAX_CANDIDATES = 10_000_000
 _MAX_ENTRIES = 1_000_000
@@ -29,12 +29,17 @@ _MAX_ENTRIES = 1_000_000
 class OracleResult:
     """Optimum with a feasible witness flow; `explored` counts simplex
     pivots.  If the search ran past its budget, `optimum` is only a lower
-    bound, the witness's value, and `truncated` is set."""
+    bound, the witness's value, and `truncated` is set.  `greedy` is the
+    heuristic's assignment and `bounds` the upper bounds, both from the
+    same tables; the search starts from greedy's total, so the optimum,
+    exact or not, is never below it."""
 
     optimum: int
     witness: Assignment
     explored: int
     truncated: bool
+    greedy: Assignment
+    bounds: UpperBounds
 
 
 class _Exhausted(Exception):
@@ -116,9 +121,10 @@ def _simplex(n: int, rows: list, objective: dict[int, int], budget: _Budget):
     return rhs[m], {j: rhs[i] for i, j in enumerate(basis) if j < n}
 
 
-def _solve(net: Network, max_candidates: int) -> tuple[Assignment, UpperBounds, OracleResult]:
-    """Greedy's assignment, the upper bounds, and the exact result: certified
-    by the cut-union bound when greedy reaches it, else found by the search.
+def optimal_value(net: Network, max_candidates: int = DEFAULT_MAX_CANDIDATES) -> OracleResult:
+    """Exact integral optimum of the joint flow, with a witness, within
+    `max_candidates` simplex pivots: certified by the cut-union bound when
+    greedy reaches it, else found by the search.
 
     The LP has a variable per commodity and edge of positive capacity, but
     for edges into the commodity's source or out of its sink; a capacity
@@ -133,7 +139,7 @@ def _solve(net: Network, max_candidates: int) -> tuple[Assignment, UpperBounds, 
     bounds = upper_bounds(tables)
     greedy = greedy_solve(tables)
     if greedy.total_value == bounds.inclusion_exclusion:
-        return greedy, bounds, OracleResult(greedy.total_value, greedy, 0, False)
+        return OracleResult(greedy.total_value, greedy, 0, False, greedy, bounds)
     variables = [(com, e) for com in net.commodities for e in net.edges
                  if e.capacity and e.head != com.source and e.tail != com.sink]
     capacity: dict[int, dict[int, int]] = {}
@@ -172,7 +178,7 @@ def _solve(net: Network, max_candidates: int) -> tuple[Assignment, UpperBounds, 
     witness = greedy
     if best_flow is not None:
         witness = _peel(net, [(variables[j], int(f)) for j, f in sorted(best_flow.items()) if f])
-    return greedy, bounds, OracleResult(best, witness, budget.pivots, truncated)
+    return OracleResult(best, witness, budget.pivots, truncated, greedy, bounds)
 
 
 def _peel(net: Network, flow: list) -> Assignment:
@@ -190,33 +196,3 @@ def _peel(net: Network, flow: list) -> Assignment:
                      for com in net.commodities}
     return Assignment(shipments, [], edge_flow, per_commodity, sum(per_commodity.values()))
 
-
-def optimal_value(net: Network, max_candidates: int = DEFAULT_MAX_CANDIDATES) -> OracleResult:
-    """Exact integral optimum of the joint flow, with a witness, within
-    `max_candidates` simplex pivots."""
-    return _solve(net, max_candidates)[2]
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Heuristic value, exact optimum, and both upper bounds side by side."""
-
-    heuristic_value: int
-    optimum: int
-    individual_total: int
-    inclusion_exclusion: int
-    gap: int
-    truncated: bool
-
-
-def gap_report(net: Network, max_candidates: int = DEFAULT_MAX_CANDIDATES) -> GapReport:
-    """Run tables + greedy + bounds + the exact search on one network.
-
-    `gap` is optimum minus heuristic value; it is only meaningful when
-    `truncated` is False.  The search starts from greedy's total, so the
-    optimum, exact or not, is never below it and the gap never negative.
-    """
-    greedy, bounds, result = _solve(net, max_candidates)
-    heuristic, optimum = greedy.total_value, result.optimum
-    return GapReport(heuristic, optimum, bounds.individual_total, bounds.inclusion_exclusion,
-                     optimum - heuristic, result.truncated)

@@ -39,10 +39,10 @@ from mcflow import (
     Edge,
     Network,
     build_tables,
-    gap_report,
     greedy_solve,
     intersection_terms,
     max_flow,
+    optimal_value,
     parse_network,
     upper_bounds,
     validate_assignment,
@@ -132,26 +132,28 @@ def test_criterion_4_greedy_feasibility():
 
 def test_criterion_5_optimality_gap(tmp_path):
     golden = parse_network((DATA / "two_commodity.net").read_text(encoding="utf-8"))
-    assert gap_report(golden).gap == 0
+    result = optimal_value(golden)
+    assert result.optimum - result.greedy.total_value == 0
 
     usable = 0
     zero_gap = 0
     truncated = 0
     archived = []
     for position, net in enumerate(_multicommodity_corpus()):
-        report = gap_report(net, max_candidates=ORACLE_BUDGET)
-        if report.optimum == report.inclusion_exclusion:
+        result = optimal_value(net, max_candidates=ORACLE_BUDGET)
+        if result.optimum == result.bounds.inclusion_exclusion:
             # Exact by the cut bound alone: check that bound independently.
             flows = build_tables(net).flows
             cut_union = {e.id for f in flows for e in f.min_cut.cut_edges}
-            assert certified_cut_union_bound(net, cut_union) == report.optimum
-        if report.truncated:
+            assert certified_cut_union_bound(net, cut_union) == result.optimum
+        if result.truncated:
             truncated += 1
             continue
         usable += 1
-        assert report.gap >= 0
-        assert report.heuristic_value <= report.optimum <= report.individual_total
-        if report.gap == 0:
+        gap = result.optimum - result.greedy.total_value
+        assert gap >= 0
+        assert result.greedy.total_value <= result.optimum <= result.bounds.individual_total
+        if gap == 0:
             zero_gap += 1
         else:
             target = tmp_path / f"gap_{position:03d}.net"

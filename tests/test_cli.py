@@ -23,6 +23,7 @@ from mcflow import (
     validate_assignment,
 )
 from mcflow.cli import run
+from test_cli_bytes import _commands, _inputs
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = str(DATA / "two_commodity.net")
@@ -421,6 +422,39 @@ class TestGap:
         assert (code, err) == (0, "")
         records = dict(line.split("\t", 1) for line in out.splitlines())
         assert (records["optimum"], records["truncated"]) == ("36", "false")
+
+    def test_one_exact_solve_per_report(self, capsys, monkeypatch, tmp_path):
+        # Both reports read one optimal_value result, so gap's optimum,
+        # truncation and exit code are oracle's on every byte-contract
+        # input small enough for the exact search.
+        calls = []
+        solve = mcflow.cli.optimal_value
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(mcflow.cli, "optimal_value", counting)
+        for command in ("oracle", "gap"):
+            calls.clear()
+            invoke(capsys, [command, GOLDEN])
+            assert len(calls) == 1, command
+        compared = 0
+        for name, text in _inputs():
+            if not any(argv[0] == "oracle" for argv in _commands(text)):
+                continue
+            target = tmp_path / f"{name}.net"
+            target.write_text(text, encoding="utf-8")
+            for budget in ("777", "1"):
+                seen = []
+                for command in ("oracle", "gap"):
+                    argv = [command, str(target), "--max-candidates", budget]
+                    code, out, _ = invoke(capsys, [*argv, "--format", "structured"])
+                    records = dict(line.split("\t", 1) for line in out.splitlines())
+                    seen.append((code, records.get("optimum"), records.get("truncated")))
+                assert seen[0] == seen[1], (name, budget)
+                compared += 1
+        assert compared >= 70
 
 
 class TestDeepNetworks:

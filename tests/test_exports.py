@@ -14,7 +14,6 @@ PUBLIC_NAMES = [
     "Edge",
     "FlowState",
     "FlowTables",
-    "GapReport",
     "Network",
     "NetworkParseError",
     "OracleResult",
@@ -22,7 +21,6 @@ PUBLIC_NAMES = [
     "build_tables",
     "color_name",
     "export_dot",
-    "gap_report",
     "greedy_solve",
     "intersection_terms",
     "max_flow",

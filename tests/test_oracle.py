@@ -23,7 +23,6 @@ from helpers import (
 )
 from mcflow import (
     build_tables,
-    gap_report,
     greedy_solve,
     max_flow,
     optimal_value,
@@ -327,30 +326,33 @@ def capacity_catalog(net, paths):
 
 
 class TestGapReport:
+    """What `mcflow gap` prints, read off the one exact result: greedy's
+    total, the optimum, both upper bounds and their difference."""
+
     def test_golden_report(self, golden_net):
-        report = gap_report(golden_net)
-        assert report.heuristic_value == 25
-        assert report.optimum == 25
-        assert report.gap == 0
-        assert report.individual_total == 35
-        assert report.inclusion_exclusion == 35
-        assert not report.truncated
+        result = optimal_value(golden_net)
+        assert result.greedy.total_value == 25
+        assert result.optimum == 25
+        assert result.optimum - result.greedy.total_value == 0
+        assert result.bounds.individual_total == 35
+        assert result.bounds.inclusion_exclusion == 35
+        assert not result.truncated
 
     def test_disjoint_report(self, disjoint_net):
-        report = gap_report(disjoint_net)
-        assert report.heuristic_value == report.optimum == 10
-        assert report.gap == 0
+        result = optimal_value(disjoint_net)
+        assert result.greedy.total_value == result.optimum == 10
+        assert result.optimum - result.greedy.total_value == 0
 
     def test_seeded_corpus_gap_nonnegative_and_bounded(self):
         rng = random.Random(13579)
         for _ in range(30):
             net = random_network(rng, max_nodes=5, max_edges=8, max_cap=5, commodity_range=(2, 2))
-            report = gap_report(net, max_candidates=500_000)
-            assert not report.truncated
-            assert report.gap >= 0
-            assert report.heuristic_value <= report.optimum
-            assert report.optimum <= report.inclusion_exclusion
-            assert report.optimum <= report.individual_total
+            result = optimal_value(net, max_candidates=500_000)
+            assert not result.truncated
+            assert result.optimum - result.greedy.total_value >= 0
+            assert result.greedy.total_value <= result.optimum
+            assert result.optimum <= result.bounds.inclusion_exclusion
+            assert result.optimum <= result.bounds.individual_total
 
     def test_cut_bound_short_circuit_matches_reference(self, monkeypatch):
         # Greedy reaching the cut-union bound is reported as the optimum
@@ -374,14 +376,17 @@ class TestGapReport:
             bound = upper_bounds(tables).inclusion_exclusion
             greedy = greedy_solve(tables).total_value
             before = len(lps)
-            report = gap_report(net)
-            assert not report.truncated
-            assert report.heuristic_value == greedy
-            assert report.inclusion_exclusion == bound
+            result = optimal_value(net)
+            assert not result.truncated
+            assert result.greedy.total_value == greedy
+            assert result.greedy == greedy_solve(build_tables(net))
+            assert result.bounds.inclusion_exclusion == bound
             if greedy == bound:
                 short_circuited += 1
                 assert len(lps) == before
-                assert report.optimum == greedy and report.gap == 0
+                assert result.witness is result.greedy
+                assert result.optimum == greedy
+                assert result.optimum - result.greedy.total_value == 0
                 cut_union = {e.id for f in tables.flows for e in f.min_cut.cut_edges}
                 assert certified_cut_union_bound(net, cut_union) == bound
             else:
@@ -390,7 +395,7 @@ class TestGapReport:
             reference = reference_optimal_value(net, max_candidates=20_000)
             if not reference.truncated:
                 finished += 1
-                assert report.optimum == reference.optimum
+                assert result.optimum == reference.optimum
         assert short_circuited >= 100
         assert searched >= 10
         assert finished >= 250
@@ -411,14 +416,12 @@ class TestGapReport:
         result = optimal_value(net, max_candidates=1000)
         assert (result.optimum, result.truncated) == (56, False)
         assert_witness_proves(net, result)
-        report = gap_report(net, max_candidates=1000)
-        assert (report.heuristic_value, report.inclusion_exclusion) == (52, 56)
-        assert report.optimum == 56 and report.gap == 4
-        assert not report.truncated
+        assert (result.greedy.total_value, result.bounds.inclusion_exclusion) == (52, 56)
+        assert result.optimum - result.greedy.total_value == 4
 
     def test_truncation_is_reported(self, golden_net):
         # A truncated search reports greedy's total as its lower bound.
-        report = gap_report(golden_net, max_candidates=1)
-        assert report.truncated
-        assert report.optimum == report.heuristic_value == 25
-        assert report.gap == 0
+        result = optimal_value(golden_net, max_candidates=1)
+        assert result.truncated
+        assert result.optimum == result.greedy.total_value == 25
+        assert result.optimum - result.greedy.total_value == 0
